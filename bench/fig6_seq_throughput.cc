@@ -54,7 +54,8 @@ mal::bench::HopBreakdown TracedAppendBreakdown(int total_appends) {
   };
   next();
   cluster.RunUntil([&] { return done >= total_appends; }, 600 * sim::kSecond);
-  return bench::BreakdownRoots(collector, "zlog.Append");
+  // Append is a one-entry AppendBatch, so each append is one such root.
+  return bench::BreakdownRoots(collector, "zlog.AppendBatch");
 }
 
 }  // namespace

@@ -78,7 +78,8 @@ RunResult RunPerAppend(int total) {
   double elapsed_sec =
       static_cast<double>(cluster.simulator().Now() - begin) / 1e9;
   result.appends_per_sec = elapsed_sec > 0 ? total / elapsed_sec : 0;
-  result.hops = BreakdownRoots(collector, "zlog.Append");
+  // Append is a one-entry AppendBatch, so each append is one such root.
+  result.hops = BreakdownRoots(collector, "zlog.AppendBatch");
   return result;
 }
 
@@ -187,6 +188,12 @@ int main() {
   bool ok = true;
   ok &= ShapeCheck("batched(b=16,w=4) >= 5x per-append simulated throughput",
                    speedup >= 5.0);
+  // BreakdownRoots returns an empty breakdown when no root matches its name,
+  // so a renamed root span would silently zero the per-append hop columns.
+  std::printf("per-append breakdown: %zu of %d appends traced\n", seed.hops.traces,
+              kTotalEntries);
+  ok &= ShapeCheck("per-append breakdown covers every traced append",
+                   seed.hops.traces == static_cast<size_t>(kTotalEntries));
   std::printf("wall: batched(b=64,w=8) 64B=%.3fs, 16KiB=%.3fs (%.1fx for 256x bytes)\n",
               wide_wall, big_wall, wide_wall > 0 ? big_wall / wide_wall : 0);
   ok &= ShapeCheck("16KiB-payload wall grows >=8x slower than byte volume (<=32x)",

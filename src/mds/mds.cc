@@ -505,8 +505,6 @@ void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest
         perf_.Inc("mds.seq.positions_granted", count);
         reply.seq_value = hosted.inode.seq_tail;
         hosted.inode.seq_tail += count;
-        hosted.inode.params["last_grant"] =
-            std::to_string(reply.seq_value) + "+" + std::to_string(count);
       } else {
         reply.seq_value = hosted.inode.seq_tail;
       }

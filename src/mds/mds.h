@@ -105,7 +105,7 @@ class MdsDaemon : public sim::Actor {
   void Boot();
 
   // Crash/restart. The inode table (including the sequencer tail counter
-  // embedded per §4.3.2 and every granted batch recorded by kSeqNextBatch)
+  // embedded per §4.3.2, which kSeqNextBatch advances past every grant)
   // models journaled metadata and survives the crash; capability state is
   // volatile and is invalidated on recovery: any cap that was outstanding
   // at crash time is dropped, and sequencer inodes whose cached tail died

@@ -386,8 +386,7 @@ for _, e in pairs(entities("mds.")) do
 end
 local appends = 0
 for _, e in pairs(entities("client.")) do
-  appends = appends + series_sum(e, "zlog.appends", params.window_s)
-                    + series_sum(e, "zlog.batches", params.window_s)
+  appends = appends + series_sum(e, "zlog.batches", params.window_s)
 end
 if appends > 0 and grants == 0 then
   alert("seq_stall", "ERR",

@@ -140,35 +140,6 @@ void Log::RefreshEpoch(DoneHandler on_done) {
                });
 }
 
-void Log::GetPosition(PositionHandler on_position) {
-  if (options_.sequencer_mode == SequencerMode::kRoundTrip) {
-    mds_->SeqNext(sequencer_path_, std::move(on_position));
-    return;
-  }
-  // Cached mode: increment locally under the exclusive cap.
-  if (mds_->HasCap(sequencer_path_)) {
-    auto pos = mds_->LocalNext(sequencer_path_);
-    if (pos.ok()) {
-      on_position(mal::Status::Ok(), pos.value());
-      return;
-    }
-    // Cap slipped away between the check and the increment; fall through.
-  }
-  mds_->AcquireCap(sequencer_path_,
-                   [this, on_position = std::move(on_position)](mal::Status status) {
-                     if (!status.ok()) {
-                       on_position(status, 0);
-                       return;
-                     }
-                     auto pos = mds_->LocalNext(sequencer_path_);
-                     if (!pos.ok()) {
-                       on_position(pos.status(), 0);
-                       return;
-                     }
-                     on_position(mal::Status::Ok(), pos.value());
-                   });
-}
-
 void Log::GetPositionBatch(uint64_t count, PositionHandler on_first) {
   if (options_.sequencer_mode == SequencerMode::kRoundTrip) {
     mds_->SeqNextBatch(sequencer_path_, count, std::move(on_first));
@@ -197,32 +168,17 @@ void Log::GetPositionBatch(uint64_t count, PositionHandler on_first) {
                    });
 }
 
-void Log::Append(mal::Buffer data, PositionHandler on_done) {
-  if (perf_ != nullptr) {
-    perf_->Inc("zlog.appends");
-  }
-  // Root span for the whole append: the sequencer round-trip and the OSD
-  // write become children via the ambient-context propagation in the
-  // actor/RPC layer.
-  trace::TraceContext span;
-  if (trace::Collector() != nullptr) {
-    span = trace::Collector()->StartSpan("zlog.Append", owner_->name().ToString(),
-                                         owner_->Now(), trace::Current());
-  }
-  auto wrapped = [this, span, on_done = std::move(on_done)](mal::Status status,
-                                                            uint64_t position) {
-    if (span.valid() && trace::Collector() != nullptr) {
-      trace::Collector()->EndSpan(span, owner_->Now(),
-                                  status.ok() ? "ok" : status.message());
-    }
-    on_done(status, position);
-  };
-  trace::ScopedContext scope(span.valid() ? span : trace::Current());
-  AppendAttempt(std::make_shared<mal::Buffer>(std::move(data)), std::move(wrapped),
-                svc::Backoff(retry_policy_));
-}
+// -- append pipeline ---------------------------------------------------------------
 
-// -- batched, pipelined append ---------------------------------------------------
+void Log::Append(mal::Buffer data, PositionHandler on_done) {
+  std::vector<mal::Buffer> entries;
+  entries.push_back(std::move(data));
+  AppendBatch(std::move(entries),
+              [on_done = std::move(on_done)](mal::Status status,
+                                             const std::vector<uint64_t>& positions) {
+                on_done(status, positions[0]);
+              });
+}
 
 struct Log::Batch {
   std::vector<mal::Buffer> entries;
@@ -312,52 +268,45 @@ void Log::BatchAttempt(std::shared_ptr<Batch> batch, std::vector<size_t> indices
                     BatchAttempt(batch, which, backoff);
                   });
   };
+  // A failed grant or recovery ends the batch unless the owning rank is gone
+  // (or lost the inode): then attempt the sharded-sequencer takeover and
+  // retry with fresh positions from the new owner.
+  auto failover = [this, batch, reattempt](std::vector<size_t> which, mal::Status status) {
+    if (!ShouldTakeover(status)) {
+      FinishBatch(batch, status);
+      return;
+    }
+    MaybeTakeover([this, batch, which = std::move(which), reattempt,
+                   status](mal::Status t) mutable {
+      if (t.ok()) {
+        reattempt(which);
+      } else {
+        FinishBatch(batch, status);
+      }
+    });
+  };
   // Take the count before the lambda capture moves `indices` (argument
   // evaluation order is unspecified).
   const uint64_t count = indices.size();
   GetPositionBatch(
       count,
-      [this, batch, indices = std::move(indices), reattempt](mal::Status status,
-                                                             uint64_t first) {
+      [this, batch, indices = std::move(indices), reattempt, failover](mal::Status status,
+                                                                       uint64_t first) {
         if (status.code() == mal::Code::kAborted) {
           // Sequencer lost its state: run CORFU recovery, then retry these
           // entries under the new epoch (fresh positions).
-          Recover([this, batch, indices, reattempt](mal::Status recover_status,
-                                                    uint64_t) mutable {
-            if (!recover_status.ok()) {
-              if (ShouldTakeover(recover_status)) {
-                MaybeTakeover([this, batch, indices, reattempt,
-                               recover_status](mal::Status t) mutable {
-                  if (t.ok()) {
-                    reattempt(indices);
-                  } else {
-                    FinishBatch(batch, recover_status);
-                  }
-                });
-                return;
-              }
-              FinishBatch(batch, recover_status);
-              return;
+          Recover([indices, reattempt, failover](mal::Status recover_status,
+                                                 uint64_t) mutable {
+            if (recover_status.ok()) {
+              reattempt(indices);
+            } else {
+              failover(indices, recover_status);
             }
-            reattempt(indices);
           });
           return;
         }
         if (!status.ok()) {
-          if (ShouldTakeover(status)) {
-            // The owning rank is gone (or lost the inode): attempt the
-            // sharded-sequencer takeover, then retry with fresh positions
-            // from the new owner.
-            MaybeTakeover([this, batch, indices, reattempt, status](mal::Status t) mutable {
-              if (t.ok()) {
-                reattempt(indices);
-              } else {
-                FinishBatch(batch, status);
-              }
-            });
-            return;
-          }
-          FinishBatch(batch, status);
+          failover(indices, status);
           return;
         }
         // Assign the grant [first, first+n) and group entries by stripe
@@ -435,88 +384,6 @@ void Log::BatchAttempt(std::shared_ptr<Batch> batch, std::vector<size_t> indices
       });
 }
 
-void Log::AppendAttempt(std::shared_ptr<mal::Buffer> data, PositionHandler on_done,
-                        svc::Backoff backoff) {
-  if (backoff.Exhausted()) {
-    on_done(mal::Status::Unavailable("append retries exhausted"), 0);
-    return;
-  }
-  // Retry continuation: consumes one attempt from the backoff schedule and
-  // re-enters after its (zero, at the default policy) delay.
-  auto reattempt = [this, data, on_done, backoff]() mutable {
-    // Consume the attempt before building the continuation so the lambda
-    // captures the advanced backoff.
-    sim::Time delay = backoff.NextDelay(&retry_rng_);
-    svc::RunAfter(owner_->simulator(), delay, [this, data, on_done, backoff] {
-      AppendAttempt(data, on_done, backoff);
-    });
-  };
-  GetPosition([this, data, on_done, reattempt](mal::Status status,
-                                               uint64_t position) mutable {
-    if (status.code() == mal::Code::kAborted) {
-      // The sequencer lost its state (holder died): run CORFU recovery,
-      // then retry the append under the new epoch.
-      Recover([this, on_done, reattempt](mal::Status recover_status, uint64_t) mutable {
-        if (!recover_status.ok()) {
-          if (ShouldTakeover(recover_status)) {
-            MaybeTakeover([on_done, reattempt, recover_status](mal::Status t) mutable {
-              if (t.ok()) {
-                reattempt();
-              } else {
-                on_done(recover_status, 0);
-              }
-            });
-            return;
-          }
-          on_done(recover_status, 0);
-          return;
-        }
-        reattempt();
-      });
-      return;
-    }
-    if (!status.ok()) {
-      if (ShouldTakeover(status)) {
-        // Owner change or owner crash: run the sharded-sequencer takeover
-        // (epoch bump + seal, like any CORFU failover), then retry.
-        MaybeTakeover([on_done, reattempt, status](mal::Status t) mutable {
-          if (t.ok()) {
-            reattempt();
-          } else {
-            on_done(status, 0);
-          }
-        });
-        return;
-      }
-      on_done(status, 0);
-      return;
-    }
-    rados_->Exec(
-        ObjectFor(position), "zlog", "write", ZlogOps::MakeWrite(epoch_, position, *data),
-        [this, on_done, reattempt, position](mal::Status write_status,
-                                             const mal::Buffer&) mutable {
-          if (write_status.code() == mal::Code::kStaleEpoch) {
-            // We were fenced: learn the new epoch and retry with a fresh
-            // position (ours may have been consumed by recovery).
-            RefreshEpoch([on_done, reattempt](mal::Status refresh_status) mutable {
-              if (!refresh_status.ok()) {
-                on_done(refresh_status, 0);
-                return;
-              }
-              reattempt();
-            });
-            return;
-          }
-          if (write_status.code() == mal::Code::kReadOnly) {
-            // Position collision (post-recovery sequencer reset): retry.
-            reattempt();
-            return;
-          }
-          on_done(write_status, position);
-        });
-  });
-}
-
 void Log::Read(uint64_t position, ReadHandler on_data) {
   rados_->Exec(ObjectFor(position), "zlog", "read", ZlogOps::MakeRead(epoch_, position),
                [on_data = std::move(on_data)](mal::Status status, const mal::Buffer& out) {
@@ -546,13 +413,6 @@ void Log::Trim(uint64_t position, DoneHandler on_done) {
 }
 
 void Log::CheckTail(PositionHandler on_tail) {
-  if (options_.sequencer_mode == SequencerMode::kCached &&
-      mds_->HasCap(sequencer_path_)) {
-    // We are the sequencer: answer locally (peek without allocating by
-    // reading the cached next value).
-    mds_->SeqRead(sequencer_path_, std::move(on_tail));  // falls back to MDS
-    return;
-  }
   mds_->SeqRead(sequencer_path_, std::move(on_tail));
 }
 

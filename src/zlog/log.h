@@ -2,7 +2,7 @@
 // implementation of the CORFU protocol mapped onto Malacology interfaces:
 //
 //  - the sequencer is a kSequencer inode in the metadata service (File
-//    Type interface) — either round-trip (every position is an MDS RPC) or
+//    Type interface) — either round-trip (every grant is an MDS RPC) or
 //    cached (the client holds the exclusive capability and increments the
 //    tail locally under programmable lease terms);
 //  - log entries live in a stripe of RADOS objects driven through the
@@ -42,7 +42,7 @@ struct View {
 };
 
 enum class SequencerMode : uint8_t {
-  kRoundTrip = 0,  // every position is an MDS round-trip (§6.2 experiments)
+  kRoundTrip = 0,  // every grant is an MDS round-trip (§6.2 experiments)
   kCached = 1,     // exclusive capability + local increments (§6.1)
 };
 
@@ -80,9 +80,9 @@ class Log {
   // Creates the sequencer inode (idempotent) and learns the current epoch.
   void Open(DoneHandler on_done);
 
-  // Appends an entry: obtains the next position from the sequencer, then
-  // writes it through the zlog object class. Retries through epoch
-  // refreshes and (after sequencer recovery) position conflicts.
+  // Appends one entry: a one-entry AppendBatch, so it shares the in-flight
+  // window and retry semantics below. On success the handler receives the
+  // entry's position.
   void Append(mal::Buffer data, PositionHandler on_done);
 
   // Batched, pipelined append: reserves entries.size() contiguous positions
@@ -90,18 +90,18 @@ class Log {
   // ships each object a single write_batch transaction carrying all of its
   // entries. Up to LogOptions::max_inflight batches ride the wire
   // concurrently; excess batches queue. Per-entry failures (epoch fencing,
-  // write-once collisions after recovery) are retried with fresh positions
-  // without stalling the other entries or the rest of the window. On
-  // success, positions[i] is where entries[i] landed.
+  // write-once collisions after recovery, unreachable targets) are retried
+  // with fresh positions without stalling the other entries or the rest of
+  // the window. On success, positions[i] is where entries[i] landed.
   void AppendBatch(std::vector<mal::Buffer> entries, BatchHandler on_done);
 
   // Batches currently on the wire (diagnostics/bench).
   uint32_t inflight_batches() const { return inflight_; }
 
   // Optional counter sink owned by the embedding client. When set, the log
-  // records zlog.appends / zlog.batches / zlog.entries /
-  // zlog.epoch_refreshes / zlog.batch_retries plus the zlog.inflight gauge
-  // and a zlog.batch_us latency histogram.
+  // records zlog.batches / zlog.entries / zlog.epoch_refreshes /
+  // zlog.batch_retries / zlog.takeovers plus the zlog.inflight gauge and a
+  // zlog.batch_us latency histogram. Append() counts as a one-entry batch.
   void set_perf(mal::PerfRegistry* perf) { perf_ = perf; }
 
   // Random read of a position; never blocks on the sequencer.
@@ -135,12 +135,9 @@ class Log {
  private:
   struct Batch;  // in-flight AppendBatch state (defined in log.cc)
 
-  void GetPosition(PositionHandler on_position);
   // Reserves `count` contiguous positions (one round-trip or one local
   // increment) and yields the first.
   void GetPositionBatch(uint64_t count, PositionHandler on_first);
-  void AppendAttempt(std::shared_ptr<mal::Buffer> data, PositionHandler on_done,
-                     svc::Backoff backoff);
   // Launches queued batches while the in-flight window has room.
   void PumpBatchQueue();
   // Writes the batch entries named by `indices` (fresh positions each

@@ -309,7 +309,7 @@ TEST(ChaosRecovery, MdsCrashMidBatchGrantNeverReusesPositions) {
 }
 
 // Duplicate-delivery idempotence: with every message duplicated, a
-// replayed zlog.write must never double-commit an entry nor cause its
+// replayed zlog.write_batch must never double-commit an entry nor cause its
 // kReadOnly replay reply to trick the client into a spurious retry that
 // lands the payload at two positions.
 TEST(ChaosDuplication, ForcedDuplicationNeverDoubleCommits) {

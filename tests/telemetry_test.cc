@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -586,6 +587,47 @@ end
     return monitor.health().Overall() == telemetry::HealthSeverity::kErr;
   }));
   EXPECT_EQ(monitor.health().alerts().count("osd_quorum"), 1u);
+}
+
+TEST(TelemetryClusterTest, RoundTripAppendsDoNotRaiseSeqStall) {
+  // Healthy single appends through a round-trip sequencer are sequencer
+  // grants like any batch: the seq_stall rule must see them as such.
+  cluster::ClusterOptions options;
+  options.num_mons = 1;
+  options.num_osds = 3;
+  options.num_mds = 1;
+  options.mon.telemetry_interval = 500 * sim::kMillisecond;
+  cluster::Cluster cluster(options);
+  cluster.Boot();
+  cluster::Client* client = cluster.NewClient();
+  client->StartPerfReports(500 * sim::kMillisecond);
+  auto log = client->OpenLog();
+  bool opened = false;
+  log->Open([&opened](mal::Status status) { opened = status.ok(); });
+  ASSERT_TRUE(cluster.RunUntil([&opened] { return opened; }));
+  constexpr int kAppends = 200;
+  int done = 0;
+  std::function<void()> next = [&] {
+    log->Append(mal::Buffer::FromString("entry-" + std::to_string(done)),
+                [&](mal::Status status, uint64_t) {
+                  ASSERT_TRUE(status.ok()) << status;
+                  if (++done < kAppends) {
+                    next();
+                  }
+                });
+  };
+  next();
+  ASSERT_TRUE(cluster.RunUntil([&done] { return done == kAppends; }));
+  cluster.RunFor(3 * sim::kSecond);
+
+  mon::Monitor& monitor = cluster.monitor();
+  ASSERT_GT(monitor.health().evaluations(), 0u);
+  // The rule had completed appends to weigh against the grants.
+  telemetry::WindowStats batches = monitor.series().Stats(
+      "client.0", "zlog.batches", 60 * kS, cluster.simulator().Now());
+  EXPECT_EQ(batches.sum, kAppends);
+  EXPECT_EQ(monitor.health().alerts().count("seq_stall"), 0u);
+  EXPECT_NE(monitor.health().Overall(), telemetry::HealthSeverity::kErr);
 }
 
 TEST(TelemetryChaosTest, CrashRaisesStaleWarnAndHealClears) {

@@ -588,6 +588,49 @@ TEST_F(ZlogFixture, AppendBatchPipelinesUpToWindow) {
   }
 }
 
+TEST_F(ZlogFixture, AppendSharesTheBatchWindow) {
+  // Append is a one-entry AppendBatch: with a window of one it waits in the
+  // queue behind an in-flight batch and lands right after it.
+  Start();
+  auto* client = cluster->NewClient();
+  LogOptions options;
+  options.name = "sharedwindow";
+  options.max_inflight = 1;
+  auto log = OpenLog(client, options);
+
+  std::vector<Buffer> entries;
+  for (int i = 0; i < 8; ++i) {
+    entries.push_back(Buffer::FromString("b" + std::to_string(i)));
+  }
+  std::optional<BatchResult> batch;
+  std::optional<Result<uint64_t>> single;
+  bool single_after_batch = false;
+  uint64_t tail_at_batch_done = 0;
+  log->AppendBatch(std::move(entries), [&](Status s, const std::vector<uint64_t>& positions) {
+    batch = BatchResult{s, positions};
+    // The queued append has not asked the sequencer for a position yet.
+    tail_at_batch_done = cluster->mds(0).GetInode(log->sequencer_path())->seq_tail;
+  });
+  log->Append(Buffer::FromString("single"), [&](Status s, uint64_t pos) {
+    single_after_batch = batch.has_value();
+    single = s.ok() ? Result<uint64_t>(pos) : Result<uint64_t>(s);
+  });
+  EXPECT_EQ(log->inflight_batches(), 1u);
+  uint32_t max_inflight_seen = 0;
+  ASSERT_TRUE(cluster->RunUntil([&] {
+    max_inflight_seen = std::max(max_inflight_seen, log->inflight_batches());
+    return single.has_value();
+  }));
+  EXPECT_LE(max_inflight_seen, 1u) << "window limit exceeded";
+  EXPECT_TRUE(single_after_batch) << "append overtook the in-flight batch";
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_TRUE(batch->status.ok()) << batch->status;
+  ASSERT_TRUE(single->ok()) << single->status();
+  EXPECT_EQ(tail_at_batch_done, batch->positions.front() + 8);
+  EXPECT_EQ(single->value(), batch->positions.front() + 8);
+  EXPECT_EQ(Read(log.get(), single->value()).data, "single");
+}
+
 TEST_F(ZlogFixture, AppendBatchCachedSequencerGrantsLocally) {
   Start();
   auto* client = cluster->NewClient();
