@@ -52,6 +52,10 @@ struct BalancerExperimentResult {
   double whole_run_ops_per_sec = 0;
   // Per-sequencer stable-phase throughput.
   std::vector<double> seq_stable_ops;
+  // Positions a sequencer granted more than once, summed over sequencers
+  // (extra occurrences across all its clients' events). Must be 0: §4.3.2
+  // requires a sequencer never to grant a position twice, migration or not.
+  uint64_t reissued_positions = 0;
 };
 
 BalancerExperimentResult RunBalancerExperiment(const BalancerExperimentConfig& config);

@@ -19,7 +19,8 @@ int main() {
               "cluster ops/sec.");
   PrintColumns({"config", "ops_per_sec"});
 
-  auto run = [](const std::string& name, RoutingMode routing, int migrate_count) {
+  uint64_t reissued = 0;
+  auto run = [&reissued](const std::string& name, RoutingMode routing, int migrate_count) {
     BalancerExperimentConfig config;
     config.name = name;
     config.num_mds = 2;
@@ -32,6 +33,7 @@ int main() {
     }
     BalancerExperimentResult result = RunBalancerExperiment(config);
     std::printf("%s\t%.0f\n", name.c_str(), result.stable_ops_per_sec);
+    reissued += result.reissued_positions;
     return result.stable_ops_per_sec;
   };
 
@@ -55,5 +57,7 @@ int main() {
               client_full > 0 ? proxy_full / client_full : 0);
   std::printf("balancing beats co-location: %s (baseline %.0f)\n",
               proxy_half > baseline ? "yes" : "NO", baseline);
-  return 0;
+  std::printf("reissued positions across all configs: %llu\n",
+              static_cast<unsigned long long>(reissued));
+  return ShapeCheck("no sequencer position granted twice", reissued == 0) ? 0 : 1;
 }

@@ -66,18 +66,24 @@ int main() {
   double seq0_after = mean_between(proxy_result.seq_series[0], 80, 115);
   double seq1_before = mean_between(proxy_result.seq_series[1], 20, 55);
   double seq1_after = mean_between(proxy_result.seq_series[1], 80, 115);
-  std::printf("proxy: migrated seq improved: %.0f -> %.0f => %s\n", seq0_before, seq0_after,
-              seq0_after > seq0_before ? "yes" : "NO");
-  std::printf("proxy: stay-behind seq decreased: %.0f -> %.0f => %s\n", seq1_before,
-              seq1_after, seq1_after < seq1_before ? "yes" : "NO");
-  std::printf("proxy cluster throughput beats client mode: %.0f vs %.0f => %s\n",
-              proxy_result.stable_ops_per_sec, client_result.stable_ops_per_sec,
-              proxy_result.stable_ops_per_sec > client_result.stable_ops_per_sec ? "yes"
-                                                                                 : "NO");
-  std::printf("client mode: non-root sequencer slower (scatter-gather strain): "
-              "%.0f vs %.0f => %s\n",
-              client_result.seq_stable_ops[0], client_result.seq_stable_ops[1],
-              client_result.seq_stable_ops[0] < client_result.seq_stable_ops[1] ? "yes"
-                                                                                : "NO");
-  return 0;
+  std::printf("proxy: seq0 %.0f -> %.0f, seq1 %.0f -> %.0f ops/s (20-55 s -> 80-115 s)\n",
+              seq0_before, seq0_after, seq1_before, seq1_after);
+  std::printf("stable cluster ops/s: proxy %.0f, client %.0f\n",
+              proxy_result.stable_ops_per_sec, client_result.stable_ops_per_sec);
+  std::printf("client mode stable ops/s: seq0 (mds.1) %.0f, seq1 (mds.0) %.0f\n",
+              client_result.seq_stable_ops[0], client_result.seq_stable_ops[1]);
+  std::printf("reissued positions: proxy %llu, client %llu\n",
+              static_cast<unsigned long long>(proxy_result.reissued_positions),
+              static_cast<unsigned long long>(client_result.reissued_positions));
+  bool ok = true;
+  ok &= ShapeCheck("proxy: migrated seq improved", seq0_after > seq0_before);
+  ok &= ShapeCheck("proxy: stay-behind seq decreased", seq1_after < seq1_before);
+  ok &= ShapeCheck("proxy cluster throughput beats client mode",
+                   proxy_result.stable_ops_per_sec > client_result.stable_ops_per_sec);
+  ok &= ShapeCheck("client mode: non-root sequencer slower (scatter-gather strain)",
+                   client_result.seq_stable_ops[0] < client_result.seq_stable_ops[1]);
+  ok &= ShapeCheck("no sequencer position granted twice",
+                   proxy_result.reissued_positions == 0 &&
+                       client_result.reissued_positions == 0);
+  return ok ? 0 : 1;
 }

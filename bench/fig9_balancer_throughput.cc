@@ -38,6 +38,8 @@ int main() {
       std::printf("migration\t%.1f\t%s -> mds.%u\n", t, path.c_str(), target);
     }
     std::printf("stable_ops_per_sec\t%.0f\n", result.stable_ops_per_sec);
+    std::printf("reissued_positions\t%llu\n",
+                static_cast<unsigned long long>(result.reissued_positions));
     PrintColumns({"config", "time_sec", "ops_per_sec"});
     PrintSeries(result.name, result.cluster_series);
   }
@@ -56,5 +58,9 @@ int main() {
                    std::get<0>(results[2].migrations.front()))
                   ? "yes"
                   : "NO");
-  return 0;
+  uint64_t reissued = 0;
+  for (const auto& result : results) {
+    reissued += result.reissued_positions;
+  }
+  return ShapeCheck("no sequencer position granted twice", reissued == 0) ? 0 : 1;
 }

@@ -10,8 +10,8 @@
 //   2. mantle_hotlog — a MalScript policy reads the per-inode sequencer
 //                      load table (mds[i]["seq"][path]) that SnapshotLoad
 //                      exports and sheds the hottest logs from the birth
-//                      rank; the balancer routes sequencer paths through
-//                      MigrateSequencer automatically.
+//                      rank; the balancer moves them with the same
+//                      two-phase Migrate handoff automatically.
 //   3. failover      — live migration under append traffic, then a crash
 //                      of an owning rank with no restart: clients detect
 //                      the dead owner, seal at a bumped epoch, and install
@@ -76,7 +76,7 @@ bool CreateAndSpread(cluster::Cluster* cluster, cluster::Client* admin,
       continue;
     }
     ++outstanding;
-    cluster->mds(0).MigrateSequencer(paths[i], target, [&](mal::Status s) {
+    cluster->mds(0).Migrate(paths[i], target, [&](mal::Status s) {
       --outstanding;
       if (!s.ok()) {
         std::fprintf(stderr, "spread migration failed: %s\n", s.ToString().c_str());
@@ -150,7 +150,7 @@ ScalingResult RunScaling(uint32_t num_mds, int num_logs, sim::Time duration) {
   result.p99_latency_us = workload.latency().Quantile(0.99);
   for (size_t m = 0; m < cluster.num_mds(); ++m) {
     result.redirects += cluster.mds(m).perf().counter("mds.seq.redirects");
-    result.migrations += cluster.mds(m).perf().counter("mds.seq.migrations");
+    result.migrations += cluster.mds(m).perf().counter("mds.migrations");
   }
   result.sim_events = cluster.simulator().events_processed() - events_before;
   return result;
@@ -378,8 +378,7 @@ FailoverResult RunFailover(int num_logs, sim::Time traffic_before_crash) {
 
   // Live migration under traffic: log 0 moves to rank 1 mid-stream.
   std::optional<Status> migrated;
-  cluster.mds(0).MigrateSequencer(logs[0]->sequencer_path(), 1,
-                                  [&](Status s) { migrated = s; });
+  cluster.mds(0).Migrate(logs[0]->sequencer_path(), 1, [&](Status s) { migrated = s; });
   cluster.RunUntil([&] { return migrated.has_value(); }, 60 * sim::kSecond);
   result.migrated_ok = migrated.has_value() && migrated->ok();
   cluster.RunFor(traffic_before_crash / 2);

@@ -69,13 +69,15 @@ struct MdsConfig {
 
   // Sharded sequencers: when true, sequencer-inode ownership is published
   // in the MdsMap service metadata ("seq.owner.<path>" entries), non-owner
-  // ranks answer sequencer ops with kWrongRank redirects instead of
-  // proxying, and hot logs move between ranks through the two-phase
-  // handoff (MigrateSequencer). Off by default: the single-sequencer wire
-  // and cost model is byte-for-byte the legacy one.
+  // ranks answer requests for explicitly placed paths with kWrongRank
+  // redirects instead of proxying, and published owners skip the coherence
+  // tax. Migration (Migrate) is the same two-phase handoff either way; for
+  // sequencers this knob only adds the owner publish and swaps
+  // migration_cost for seq_handoff_cost.
   bool seq_ownership = false;
-  // CPU charge per handoff phase at each end (freeze/transfer accounting,
-  // much lighter than a full subtree export).
+  // CPU charge per migration phase at each end for an owned sequencer
+  // (freeze/transfer accounting, much lighter than migration_cost's full
+  // subtree export).
   sim::Time seq_handoff_cost = 1 * sim::kMillisecond;
 
   // Relative sampling noise on the exported CPU metric: request counters
@@ -123,16 +125,16 @@ class MdsDaemon : public sim::Actor {
   void SetBalancerPolicy(std::shared_ptr<BalancerPolicy> policy);
   BalancerPolicy* balancer_policy() { return policy_.get(); }
 
-  // Manually migrate a subtree this MDS is authoritative for.
+  // Moves an inode this MDS is authoritative for to `target`, for every
+  // inode type and routing mode, as a two-phase handoff: journal a freeze
+  // (params["migrating_to"]), transfer the inode encoded after the freeze,
+  // then drop the local copy and broadcast the new authority. Requests other
+  // than reads queue during the freeze and, once the transfer commits, are
+  // re-routed (proxied, redirected, or answered kWrongRank), so no update
+  // is lost and no sequencer position is granted twice. An owned sequencer
+  // (config.seq_ownership) also has its new owner published in the MdsMap.
   void Migrate(const std::string& path, uint32_t target,
                std::function<void(mal::Status)> on_done);
-
-  // Two-phase sequencer handoff (requires config.seq_ownership): freeze
-  // grants, transfer tail/epoch/lease state to `target`, publish the new
-  // owner in the MdsMap. Positions are never reissued: grants queued during
-  // the freeze are answered with kWrongRank once the transfer commits.
-  void MigrateSequencer(const std::string& path, uint32_t target,
-                        std::function<void(mal::Status)> on_done);
 
   // -- introspection (tests and benches) ---------------------------------------
   bool IsAuthority(const std::string& path) const;
@@ -169,35 +171,40 @@ class MdsDaemon : public sim::Actor {
     CapState cap;
     uint64_t window_requests = 0;  // decayed per load window
     double rate = 0;
-    // Sequencer ops queued while a handoff has the inode frozen
+    // Requests queued while a migration has the inode frozen
     // (params["migrating_to"] set). Volatile: queued rpcs die with a crash,
     // exactly like cap.waiters.
-    std::deque<std::pair<sim::Envelope, ClientRequest>> seq_waiters;
+    std::deque<std::pair<sim::Envelope, ClientRequest>> waiters;
   };
 
   void RegisterHandlers();
 
   void HandleClientRequest(const sim::Envelope& request, ClientRequest req,
                            bool forwarded);
-  void ExecuteRequest(const sim::Envelope& request, const ClientRequest& req,
-                      bool forwarded);
-  void HandleMigrateIn(const sim::Envelope& request);
+  void ExecuteRequest(const sim::Envelope& request, const ClientRequest& req);
   void HandleAuthorityUpdate(const sim::Envelope& request);
   void HandleLoadReport(const sim::Envelope& request);
   void HandleMapUpdate(const sim::Envelope& request);
 
+  // -- migration -----------------------------------------------------------------
+  // Phase 1: validate, journal the freeze (params["migrating_to"] = target),
+  // then drive the transfer. `publish` tells the receiving rank to publish
+  // itself as an owned sequencer's new owner (false for demotions, where the
+  // map already names it).
+  void StartMigration(const std::string& path, uint32_t target, bool publish,
+                      std::function<void(mal::Status)> on_done);
+  // Phase 2+3 of a migration whose freeze is already journaled; re-driven
+  // from Recover() after a source crash.
+  void DriveMigration(const std::string& path, uint32_t target, bool publish,
+                      std::function<void(mal::Status)> on_done);
+  void HandleMigrateIn(const sim::Envelope& request);
+  // Re-execute queued requests locally (migration aborted).
+  void ResumeWaiters(const std::string& path);
+
   // -- sharded sequencers --------------------------------------------------------
-  // Phase 1 of a handoff: validate, journal the freeze
-  // (params["migrating_to"] = target), then drive the transfer.
-  void StartSeqHandoff(const std::string& path, uint32_t target, bool publish,
-                       std::function<void(mal::Status)> on_done);
-  // Phase 2+3 of a handoff whose freeze (params["migrating_to"]) is already
-  // journaled; re-driven from Recover() after a source crash. `publish`
-  // tells the receiving rank to publish itself as the new owner (false for
-  // demotions, where the map already names it).
-  void DriveSeqHandoff(const std::string& path, uint32_t target, bool publish,
-                       std::function<void(mal::Status)> on_done);
-  void HandleSeqMigrateIn(const sim::Envelope& request);
+  // True for a sequencer inode whose ownership is published
+  // (config.seq_ownership).
+  bool OwnedSequencer(const Inode& inode) const;
   // Reconciles hosted sequencers against a freshly adopted ownership map
   // (publish re-drive, demotion of stale copies).
   void SeqOwnershipSweep();
@@ -206,10 +213,6 @@ class MdsDaemon : public sim::Actor {
   // Submits the seq.owner.<path> -> rank map transaction (idempotent;
   // re-driven from HandleMapUpdate while params["owner_pending"] is set).
   void PublishSeqOwner(const std::string& path);
-  // Answer every queued grant with a kWrongRank pointing at `new_owner`.
-  void FlushSeqWaiters(HostedInode& hosted, uint32_t new_owner);
-  // Re-execute queued grants locally (handoff aborted).
-  void ResumeSeqWaiters(const std::string& path);
   void UpdateOwnedLogsGauge();
 
   void GrantCap(const std::string& path, HostedInode& hosted, const sim::Envelope& to);

@@ -19,12 +19,11 @@ namespace mal::mds {
 enum MsgType : uint32_t {
   kMsgClientRequest = 300,   // client -> mds
   kMsgCapRevoke = 301,       // mds -> client (one-way)
-  kMsgMigrate = 302,         // mds -> mds: subtree export
+  kMsgMigrate = 302,         // mds -> mds: inode transfer (migration phase 2)
   kMsgAuthorityUpdate = 303, // mds -> mds broadcast (one-way)
   kMsgLoadReport = 304,      // mds -> mds broadcast (one-way)
   kMsgForward = 305,         // proxy: mds -> authoritative mds
   kMsgCoherence = 306,       // one-way scatter-gather strain at the root
-  kMsgSeqMigrate = 307,      // mds -> mds: sequencer-inode handoff (phase 2)
 };
 
 // Inode types. kSequencer is the domain-specific type ZLog defines through

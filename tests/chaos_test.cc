@@ -385,7 +385,7 @@ TEST(ChaosDuplication, ForcedDuplicationNeverDoubleCommits) {
 }
 
 // Sharded sequencers under chaos: several logs with monitor-published
-// ownership on a 2-rank metadata cluster, a live MigrateSequencer under
+// ownership on a 2-rank metadata cluster, a live Migrate under
 // traffic, then MDS-crash faults that force clients through the CORFU
 // takeover path. The invariants are the paper's migration/failover claim:
 // no sequencer tail ever regresses, no inode is lost, and every log's
@@ -428,8 +428,7 @@ TEST(ChaosShardedSequencers, MigrationAndFailoverPreserveEveryLog) {
   // Hot-log migration under live traffic: move log 0's sequencer from its
   // birth rank to the other rank without dropping a grant.
   std::optional<Status> migrated;
-  cluster.mds(0).MigrateSequencer(logs[0]->sequencer_path(), 1,
-                                  [&](Status s) { migrated = s; });
+  cluster.mds(0).Migrate(logs[0]->sequencer_path(), 1, [&](Status s) { migrated = s; });
   EXPECT_TRUE(cluster.RunUntil([&] { return migrated.has_value(); }));
   EXPECT_TRUE(migrated->ok()) << *migrated;
 

@@ -3,6 +3,8 @@
 // the stock CephFS balancer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "src/mds/mds.h"
@@ -315,6 +317,85 @@ TEST_F(MdsFixture, MigrationWithHeldCapIsRefused) {
   EXPECT_EQ(migrated->code(), Code::kUnavailable);
 }
 
+// ---- migration is one freeze/transfer/commit handoff in every routing mode ---
+
+class MigrationModeTest : public MdsFixture,
+                          public ::testing::WithParamInterface<RoutingMode> {};
+
+TEST_P(MigrationModeTest, LiveMigrationNeverGrantsAPositionTwice) {
+  MdsConfig config;
+  config.routing = GetParam();
+  Start(2, config, /*num_clients=*/4);
+  ASSERT_TRUE(CreateSequencer("/seq", RoundTrip()).ok());
+
+  // Four closed-loop round-trip clients, 1 s before and 1 s after a live
+  // migration of the sequencer they share.
+  std::vector<uint64_t> granted;
+  bool running = true;
+  std::function<void(uint32_t)> loop = [&](uint32_t c) {
+    clients[c]->mds.SeqNext("/seq", [&, c](Status s, uint64_t pos) {
+      if (s.ok()) {
+        granted.push_back(pos);
+      }
+      if (running) {
+        loop(c);
+      }
+    });
+  };
+  for (uint32_t c = 0; c < 4; ++c) {
+    loop(c);
+  }
+  Settle(1 * sim::kSecond);
+  size_t before = granted.size();
+  std::optional<Status> migrated;
+  mds[0]->Migrate("/seq", 1, [&](Status s) { migrated = s; });
+  Settle(1 * sim::kSecond);
+  running = false;
+  Settle(3 * sim::kSecond);
+
+  ASSERT_TRUE(migrated.has_value() && migrated->ok());
+  ASSERT_NE(mds[1]->GetInode("/seq"), nullptr);
+  EXPECT_GT(before, 0u);
+  EXPECT_GT(granted.size(), before);
+  std::sort(granted.begin(), granted.end());
+  EXPECT_EQ(mds[1]->GetInode("/seq")->seq_tail, granted.back() + 1);
+  auto distinct_end = std::unique(granted.begin(), granted.end());
+  EXPECT_EQ(granted.end() - distinct_end, 0) << "positions granted more than once";
+}
+
+TEST_P(MigrationModeTest, UpdateIssuedDuringMigrationReachesTarget) {
+  MdsConfig config;
+  config.routing = GetParam();
+  Start(2, config);
+  std::optional<Status> created;
+  clients[0]->mds.Create("/file", InodeType::kFile, LeasePolicy{},
+                         [&](Status s) { created = s; });
+  Settle(3 * sim::kSecond);
+  ASSERT_TRUE(created.has_value() && created->ok());
+
+  std::optional<Status> migrated;
+  mds[0]->Migrate("/file", 1, [&](Status s) { migrated = s; });
+  ClientRequest set_size;
+  set_size.op = MdsOp::kSetSize;
+  set_size.path = "/file";
+  set_size.seq_value = 777;
+  std::optional<Status> sized;
+  clients[0]->mds.Request(set_size, [&](Status s, const MdsReply&) { sized = s; });
+  Settle(3 * sim::kSecond);
+
+  ASSERT_TRUE(migrated.has_value() && migrated->ok());
+  ASSERT_TRUE(sized.has_value() && sized->ok());
+  EXPECT_EQ(mds[0]->GetInode("/file"), nullptr);
+  ASSERT_NE(mds[1]->GetInode("/file"), nullptr);
+  EXPECT_EQ(mds[1]->GetInode("/file")->size, 777u);
+}
+
+INSTANTIATE_TEST_SUITE_P(RoutingModes, MigrationModeTest,
+                         ::testing::Values(RoutingMode::kProxy, RoutingMode::kRedirect),
+                         [](const ::testing::TestParamInfo<RoutingMode>& mode) {
+                           return mode.param == RoutingMode::kProxy ? "Proxy" : "Redirect";
+                         });
+
 // ---- sharded sequencer ownership (seq_ownership) -----------------------------
 
 TEST_F(MdsFixture, ShardedHandoffMovesOwnershipAndFollowsRedirect) {
@@ -328,7 +409,7 @@ TEST_F(MdsFixture, ShardedHandoffMovesOwnershipAndFollowsRedirect) {
   EXPECT_EQ(mon::SeqOwnerOf(monitor->mds_map(), "/seq"), std::optional<uint32_t>(0));
 
   std::optional<Status> migrated;
-  mds[0]->MigrateSequencer("/seq", 1, [&](Status s) { migrated = s; });
+  mds[0]->Migrate("/seq", 1, [&](Status s) { migrated = s; });
   Settle(3 * sim::kSecond);
   ASSERT_TRUE(migrated.has_value());
   ASSERT_TRUE(migrated->ok()) << *migrated;
@@ -343,7 +424,7 @@ TEST_F(MdsFixture, ShardedHandoffMovesOwnershipAndFollowsRedirect) {
   auto pos = Next("/seq");
   ASSERT_TRUE(pos.ok()) << pos.status();
   EXPECT_EQ(pos.value(), 2u);
-  EXPECT_GE(mds[0]->perf().counter("mds.seq.migrations"), 1u);
+  EXPECT_GE(mds[0]->perf().counter("mds.migrations"), 1u);
   EXPECT_GE(mds[1]->perf().counter("mds.seq.handoffs_in"), 1u);
   EXPECT_GE(mds[0]->perf().counter("mds.seq.redirects"), 1u);
 }
@@ -358,7 +439,7 @@ TEST_F(MdsFixture, CrashMidHandoffRecoversWithoutPositionReuse) {
   }
   // The freeze (journaled migrating_to marker) lands, then the rank dies
   // before the transfer RPC leaves the CPU queue.
-  mds[0]->MigrateSequencer("/seq", 1, [](Status) {});
+  mds[0]->Migrate("/seq", 1, [](Status) {});
   mds[0]->Crash();
   Settle(2 * sim::kSecond);
   mds[0]->Recover();
@@ -383,7 +464,7 @@ TEST_F(MdsFixture, RedirectChaseTerminatesWhenOwnerIsDown) {
   Start(2, config);
   ASSERT_TRUE(CreateSequencer("/seq", RoundTrip()).ok());
   std::optional<Status> migrated;
-  mds[0]->MigrateSequencer("/seq", 1, [&](Status s) { migrated = s; });
+  mds[0]->Migrate("/seq", 1, [&](Status s) { migrated = s; });
   Settle(3 * sim::kSecond);
   ASSERT_TRUE(migrated.has_value() && migrated->ok());
   mds[1]->Crash();
