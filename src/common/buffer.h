@@ -119,6 +119,21 @@ class Encoder {
 
   explicit Encoder(Buffer* out) : out_(out) {}
 
+  // Encoded size of a varuint, and of a length-prefixed string/bytes field.
+  static constexpr size_t VarU64Size(uint64_t v) {
+    size_t n = 1;
+    for (; v >= 0x80; v >>= 7) {
+      ++n;
+    }
+    return n;
+  }
+  static constexpr size_t BytesSize(size_t n) { return VarU64Size(n) + n; }
+
+  // Makes room for `n` more bytes at once. A message that knows its encoded
+  // size reserves it up front, so its buffer is allocated (and its payload
+  // copied) exactly once, with no spare capacity left pinned behind it.
+  void Reserve(size_t n) { out_->Reserve(out_->size() + n); }
+
   void PutU8(uint8_t v) { out_->Append(&v, 1); }
   void PutU16(uint16_t v) { PutFixed(v); }
   void PutU32(uint32_t v) { PutFixed(v); }
@@ -135,12 +150,12 @@ class Encoder {
   void PutVarU64(uint64_t v);
 
   void PutString(std::string_view s) {
-    out_->Reserve(out_->size() + kMaxVarU64Bytes + s.size());
+    Reserve(BytesSize(s.size()));
     PutVarU64(s.size());
     out_->Append(s);
   }
   void PutBuffer(const Buffer& b) {
-    out_->Reserve(out_->size() + kMaxVarU64Bytes + b.size());
+    Reserve(BytesSize(b.size()));
     PutVarU64(b.size());
     out_->Append(b);
   }

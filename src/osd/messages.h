@@ -58,6 +58,11 @@ struct OsdOpRequest {
   std::vector<Op> ops;
 
   void Encode(mal::Encoder* enc) const {
+    size_t size = mal::Encoder::BytesSize(oid.size()) + mal::Encoder::VarU64Size(ops.size());
+    for (const Op& op : ops) {
+      size += op.EncodedSize();
+    }
+    enc->Reserve(size);
     enc->PutString(oid);
     enc->PutVarU64(ops.size());
     for (const Op& op : ops) {
@@ -82,6 +87,12 @@ struct OsdOpReply {
   std::vector<OpResult> results;
 
   void Encode(mal::Encoder* enc) const {
+    size_t size = 8 + mal::Encoder::VarU64Size(results.size());
+    for (const OpResult& r : results) {
+      size += 4 + mal::Encoder::BytesSize(r.status.message().size()) +
+              mal::Encoder::BytesSize(r.out.size());
+    }
+    enc->Reserve(size);
     enc->PutU64(map_epoch);
     enc->PutVarU64(results.size());
     for (const OpResult& r : results) {

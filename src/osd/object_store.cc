@@ -1,5 +1,7 @@
 #include "src/osd/object_store.h"
 
+#include <algorithm>
+
 namespace mal::osd {
 
 void Object::Encode(mal::Encoder* enc) const {
@@ -38,6 +40,31 @@ void Op::Encode(mal::Encoder* enc) const {
   enc->PutString(value);
   enc->PutString(cls_name);
   enc->PutString(method);
+}
+
+size_t Op::EncodedSize() const {
+  return 1 + 1 + 8 + 8 + mal::Encoder::BytesSize(data.size()) +
+         mal::Encoder::BytesSize(key.size()) + mal::Encoder::BytesSize(value.size()) +
+         mal::Encoder::BytesSize(cls_name.size()) + mal::Encoder::BytesSize(method.size());
+}
+
+bool IsMutating(Op::Type type) {
+  switch (type) {
+    case Op::Type::kCreate:
+    case Op::Type::kRemove:
+    case Op::Type::kWrite:
+    case Op::Type::kWriteFull:
+    case Op::Type::kAppend:
+    case Op::Type::kTruncate:
+    case Op::Type::kOmapSet:
+    case Op::Type::kOmapDel:
+    case Op::Type::kXattrSet:
+    case Op::Type::kSnapCreate:
+    case Op::Type::kSnapRemove:
+      return true;
+    default:
+      return false;
+  }
 }
 
 Op Op::Decode(mal::Decoder* dec) {
@@ -244,6 +271,7 @@ std::vector<std::string> ObjectStore::List() const {
   for (const auto& [oid, object] : objects_) {
     names.push_back(oid);
   }
+  std::sort(names.begin(), names.end());
   return names;
 }
 
@@ -299,6 +327,40 @@ void ObjectStore::CommitInPlace(Object* object, const TxnObject& staged) {
   ++object->version;
 }
 
+TxnObject ObjectStore::Stage(const std::string& oid) const {
+  auto it = objects_.find(oid);
+  return TxnObject(it == objects_.end() ? nullptr : &it->second);
+}
+
+void ObjectStore::Commit(const std::string& oid, const TxnObject& staged, bool removed,
+                         bool mutated) {
+  // The store owns every object Stage() hands out as a base.
+  Object* base = const_cast<Object*>(staged.base());
+  if (removed && !staged.exists()) {
+    if (base != nullptr) {
+      bytes_used_ -= Footprint(*base);
+      objects_.erase(oid);
+    }
+    return;
+  }
+  if (!staged.exists() || !mutated) {
+    return;
+  }
+  if (staged.base_visible()) {
+    CommitInPlace(base, staged);
+    return;
+  }
+  // New object, or removed-and-recreated within the transaction: the
+  // overlays hold the entire state.
+  std::optional<Object> built = staged.Materialize();
+  ++built->version;
+  if (base != nullptr) {
+    bytes_used_ -= Footprint(*base);
+  }
+  bytes_used_ += Footprint(*built);
+  objects_.insert_or_assign(oid, std::move(*built));
+}
+
 mal::Status ObjectStore::ApplyTransaction(const std::string& oid, const std::vector<Op>& ops,
                                           std::vector<OpResult>* results) {
   results->clear();
@@ -308,79 +370,35 @@ mal::Status ObjectStore::ApplyTransaction(const std::string& oid, const std::vec
   // against the staged deltas; commit folds them in only if every op
   // succeeded. The committed object is never touched before commit, so an
   // abort is simply "return" — all-or-nothing without a full-object clone.
-  auto target = objects_.find(oid);
-  const bool existed = target != objects_.end();
-  TxnObject staged(existed ? &target->second : nullptr);
+  TxnObject staged = Stage(oid);
   bool removed = false;
+  bool mutated = false;
 
   for (size_t i = 0; i < ops.size(); ++i) {
-    const Op& op = ops[i];
-    if (op.type == Op::Type::kExec) {
-      (*results)[i].status =
-          mal::Status::Internal("kExec must be expanded by the class runtime");
-      return (*results)[i].status;
-    }
-    if (op.type == Op::Type::kRemove) {
-      if (!staged.exists()) {
-        (*results)[i].status = mal::Status::NotFound("object " + oid);
-        return (*results)[i].status;
-      }
-      staged.Remove();
-      removed = true;
-      (*results)[i].status = mal::Status::Ok();
-      continue;
-    }
-    mal::Status s = ApplyOp(op, &staged, &(*results)[i]);
+    mutated = mutated || IsMutating(ops[i].type);
+    removed = removed || ops[i].type == Op::Type::kRemove;
+    mal::Status s = ApplyOp(oid, ops[i], &staged, &(*results)[i]);
     (*results)[i].status = s;
     if (!s.ok()) {
       return s;  // abort: nothing applied
     }
   }
+  Commit(oid, staged, removed, mutated);
+  return mal::Status::Ok();
+}
 
-  // Commit.
-  if (removed && !staged.exists()) {
-    if (existed) {
-      bytes_used_ -= Footprint(target->second);
-      objects_.erase(target);
-    }
-    return mal::Status::Ok();
+mal::Status ObjectStore::ApplyOp(const std::string& oid, const Op& op, TxnObject* object,
+                                 OpResult* result) {
+  if (op.type == Op::Type::kExec) {
+    return mal::Status::Internal("kExec must be expanded by the class runtime");
   }
-  if (staged.exists()) {
-    bool mutated = !existed;
-    for (const Op& op : ops) {
-      switch (op.type) {
-        case Op::Type::kCreate:
-        case Op::Type::kWrite:
-        case Op::Type::kWriteFull:
-        case Op::Type::kAppend:
-        case Op::Type::kTruncate:
-        case Op::Type::kOmapSet:
-        case Op::Type::kOmapDel:
-        case Op::Type::kXattrSet:
-        case Op::Type::kSnapCreate:
-        case Op::Type::kSnapRemove:
-          mutated = true;
-          break;
-        default:
-          break;
-      }
-    }
-    if (mutated) {
-      if (existed && staged.base_visible()) {
-        CommitInPlace(&target->second, staged);
-      } else {
-        // New object, or removed-and-recreated within the transaction:
-        // the overlays hold the entire state.
-        std::optional<Object> built = staged.Materialize();
-        ++built->version;
-        if (existed) {
-          bytes_used_ -= Footprint(target->second);
-        }
-        bytes_used_ += Footprint(*built);
-        objects_[oid] = std::move(*built);
-      }
-    }
+  if (op.type != Op::Type::kRemove) {
+    return ApplyOp(op, object, result);
   }
+  if (!object->exists()) {
+    return mal::Status::NotFound("object " + oid);
+  }
+  object->Remove();
   return mal::Status::Ok();
 }
 

@@ -23,6 +23,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/buffer.h"
@@ -81,7 +82,12 @@ struct Op {
 
   void Encode(mal::Encoder* enc) const;
   static Op Decode(mal::Decoder* dec);
+  // Exact byte count Encode() appends.
+  size_t EncodedSize() const;
 };
+
+// True for ops that change the object (the ones a replica must replay).
+bool IsMutating(Op::Type type);
 
 struct OpResult {
   mal::Status status;
@@ -132,6 +138,8 @@ class TxnObject {
   // True while reads still see the committed base object underneath the
   // overlays (i.e. the object was not removed during the transaction).
   bool base_visible() const { return base_visible_ && base_ != nullptr; }
+  // The committed object this view was opened over (nullptr if absent).
+  const Object* base() const { return base_; }
 
   // Commit support: the sparse overlays (value = staged, nullopt = deleted).
   using StringOverlay = std::map<std::string, std::optional<std::string>>;
@@ -164,6 +172,16 @@ class ObjectStore {
   mal::Status ApplyTransaction(const std::string& oid, const std::vector<Op>& ops,
                                std::vector<OpResult>* results);
 
+  // Opens a transaction's staged view of `oid` (one lookup). The view stays
+  // valid until the object is committed, removed or replaced.
+  TxnObject Stage(const std::string& oid) const;
+  // Folds a successful transaction's staged view of `oid`, opened with
+  // Stage() and not invalidated since, into the store: `removed` when the
+  // transaction deleted the object, `mutated` when any op changed it (a
+  // read-only view commits nothing). Bumps the version and keeps
+  // bytes_used() in sync.
+  void Commit(const std::string& oid, const TxnObject& staged, bool removed, bool mutated);
+
   bool Exists(const std::string& oid) const { return objects_.count(oid) != 0; }
   mal::Result<const Object*> Get(const std::string& oid) const;
 
@@ -180,6 +198,8 @@ class ObjectStore {
   // Drops every object (chaos permanent loss: the disk is gone).
   void Clear();
 
+  // Every object name, sorted (scrub and the chaos bit-rot picker index
+  // into this list, so its order is part of the simulated behaviour).
   std::vector<std::string> List() const;
   size_t size() const { return objects_.size(); }
 
@@ -191,8 +211,11 @@ class ObjectStore {
 
   // Applies one op against a transaction's staged object view. Public and
   // static so the OSD's class runtime can expand kExec ops against the
-  // staged state before committing. kRemove and kExec are handled by the
-  // caller (their error messages name the oid, which TxnObject lacks).
+  // staged state before committing. The first form also removes `oid` for
+  // kRemove and rejects kExec (the class runtime expands those); the second
+  // leaves both to the caller.
+  static mal::Status ApplyOp(const std::string& oid, const Op& op, TxnObject* object,
+                             OpResult* result);
   static mal::Status ApplyOp(const Op& op, TxnObject* object, OpResult* result);
 
  private:
@@ -202,7 +225,7 @@ class ObjectStore {
   // data + omap footprint, the definition bytes_used() has always used.
   static uint64_t Footprint(const Object& object);
 
-  std::map<std::string, Object> objects_;
+  std::unordered_map<std::string, Object> objects_;
   uint64_t bytes_used_ = 0;
 };
 

@@ -245,28 +245,18 @@ sim::Time Osd::OpCost(const OsdOpRequest& req) const {
   return cost;
 }
 
-mal::Status Osd::ExpandTransaction(const OsdOpRequest& req, std::vector<OpResult>* results,
-                                   std::vector<Op>* expanded) {
+mal::Status Osd::ExpandTransaction(const OsdOpRequest& req, TxnObject* staged,
+                                   std::vector<OpResult>* results, std::vector<Op>* expanded) {
   results->clear();
   results->resize(req.ops.size());
   expanded->clear();
-
-  // Delta view over the committed object: expanding a transaction (class
-  // method execution included) never clones the object, only overlays the
-  // bytes it touches.
-  const Object* base = nullptr;
-  if (auto existing = store_.Get(req.oid); existing.ok()) {
-    base = existing.value();
-  }
-  TxnObject staged(base);
-  bool removed = false;
 
   for (size_t i = 0; i < req.ops.size(); ++i) {
     const Op& op = req.ops[i];
     OpResult& result = (*results)[i];
     if (op.type == Op::Type::kExec) {
       std::vector<Op> effects;
-      cls::ClsContext ctx(req.oid, &staged, &effects);
+      cls::ClsContext ctx(req.oid, staged, &effects);
       script::EngineStats sstats;
       auto out = registry_.Execute(op.cls_name, op.method, ctx, op.data, 1'000'000, &sstats);
       // Script-method engine counters, lazily created (absent for native
@@ -300,45 +290,33 @@ mal::Status Osd::ExpandTransaction(const OsdOpRequest& req, std::vector<OpResult
       }
       result.status = mal::Status::Ok();
       result.out = std::move(out).value();
-      expanded->insert(expanded->end(), effects.begin(), effects.end());
+      expanded->insert(expanded->end(), std::make_move_iterator(effects.begin()),
+                       std::make_move_iterator(effects.end()));
       continue;
     }
-    if (op.type == Op::Type::kRemove) {
-      if (!staged.exists()) {
-        result.status = mal::Status::NotFound("object " + req.oid);
-        return result.status;
-      }
-      staged.Remove();
-      removed = true;
-      result.status = mal::Status::Ok();
-      expanded->push_back(op);
-      continue;
-    }
-    result.status = ObjectStore::ApplyOp(op, &staged, &result);
+    result.status = ObjectStore::ApplyOp(req.oid, op, staged, &result);
     if (!result.status.ok()) {
       return result.status;
     }
     expanded->push_back(op);
   }
-  (void)removed;
   return mal::Status::Ok();
 }
 
 namespace {
 
-bool IsMutating(const Op& op) {
-  switch (op.type) {
-    case Op::Type::kCreate:
-    case Op::Type::kRemove:
-    case Op::Type::kWrite:
-    case Op::Type::kWriteFull:
-    case Op::Type::kAppend:
-    case Op::Type::kTruncate:
-    case Op::Type::kOmapSet:
-    case Op::Type::kOmapDel:
-    case Op::Type::kXattrSet:
-    case Op::Type::kSnapCreate:
-    case Op::Type::kSnapRemove:
+// Ops that read the object's prior state: on a primary that does not hold
+// the object they are worth a pull from its peers first.
+bool ReadsExisting(Op::Type type) {
+  switch (type) {
+    case Op::Type::kRead:
+    case Op::Type::kStat:
+    case Op::Type::kOmapGet:
+    case Op::Type::kOmapList:
+    case Op::Type::kXattrGet:
+    case Op::Type::kCmpXattr:
+    case Op::Type::kSnapRead:
+    case Op::Type::kExec:  // class methods may read prior state
       return true;
     default:
       return false;
@@ -356,7 +334,7 @@ void Osd::HandleOsdOp(const sim::Envelope& request, OsdOpRequest req) {
     return;
   }
   // Primary check against our map view.
-  std::vector<uint32_t> acting = ActingSetForOid(req.oid, osd_map_, config_.replicas);
+  std::vector<uint32_t> acting = placement_.ActingSet(req.oid, osd_map_, config_.replicas);
   if (acting.empty() || acting[0] != name().id) {
     ReplyError(request, mal::Status::Unavailable("not primary for " + req.oid));
     return;
@@ -366,54 +344,39 @@ void Osd::HandleOsdOp(const sim::Envelope& request, OsdOpRequest req) {
   // shifts the shard's canonical home: the data still exists on the old
   // home, so sweep for it — but only for read-only transactions (a write
   // simply lays down the new generation here; stale copies elsewhere lose
-  // the stamp plurality and scrub garbage-collects the inconsistency).
+  // the stamp plurality and scrub garbage-collects the inconsistency). Only
+  // a transaction that reads prior state pays the store lookup here.
   bool mutating = false;
+  bool reads_existing = false;
   for (const Op& op : req.ops) {
-    mutating = mutating || IsMutating(op);
+    mutating = mutating || IsMutating(op.type);
+    reads_existing = reads_existing || ReadsExisting(op.type);
   }
   bool sweep_eligible =
       acting.size() > 1 || (!mutating && ParseEcShardOid(req.oid).has_value());
-  if (config_.pull_on_miss && !store_.Exists(req.oid) && sweep_eligible) {
-    bool reads_existing = false;
-    for (const Op& op : req.ops) {
-      switch (op.type) {
-        case Op::Type::kRead:
-        case Op::Type::kStat:
-        case Op::Type::kOmapGet:
-        case Op::Type::kOmapList:
-        case Op::Type::kXattrGet:
-        case Op::Type::kCmpXattr:
-        case Op::Type::kSnapRead:
-        case Op::Type::kExec:  // class methods may read prior state
-          reads_existing = true;
-          break;
-        default:
-          break;
+  if (config_.pull_on_miss && reads_existing && sweep_eligible && !store_.Exists(req.oid)) {
+    // Candidate holders: the rest of the acting set first, then every
+    // other up OSD (after a placement-group split the old acting set can
+    // be disjoint from the new one; Ceph consults map history, we sweep).
+    std::vector<uint32_t> candidates(acting.begin() + 1, acting.end());
+    for (const auto& [id, info] : osd_map_.osds) {
+      if (info.up && id != name().id &&
+          std::find(candidates.begin(), candidates.end(), id) == candidates.end()) {
+        candidates.push_back(id);
       }
     }
-    if (reads_existing) {
-      // Candidate holders: the rest of the acting set first, then every
-      // other up OSD (after a placement-group split the old acting set can
-      // be disjoint from the new one; Ceph consults map history, we sweep).
-      std::vector<uint32_t> candidates(acting.begin() + 1, acting.end());
-      for (const auto& [id, info] : osd_map_.osds) {
-        if (info.up && id != name().id &&
-            std::find(candidates.begin(), candidates.end(), id) == candidates.end()) {
-          candidates.push_back(id);
-        }
-      }
-      PullThenExecute(request, req, candidates, 0);
-      return;
-    }
+    PullThenExecute(request, std::move(req), std::move(candidates), 0);
+    return;
   }
-  ExecuteOsdOp(request, req, acting);
+  ExecuteOsdOp(request, std::move(req), std::move(acting));
 }
 
-void Osd::PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
-                          const std::vector<uint32_t>& candidates, size_t index) {
-  std::vector<uint32_t> acting = ActingSetForOid(req.oid, osd_map_, config_.replicas);
+void Osd::PullThenExecute(const sim::Envelope& request, OsdOpRequest req,
+                          std::vector<uint32_t> candidates, size_t index) {
+  std::vector<uint32_t> acting = placement_.ActingSet(req.oid, osd_map_, config_.replicas);
   if (index >= candidates.size()) {
-    ExecuteOsdOp(request, req, acting);  // nobody has it; proceed (NotFound)
+    // Nobody has it; proceed (NotFound).
+    ExecuteOsdOp(request, std::move(req), std::move(acting));
     return;
   }
   PullObjectRequest pull{req.oid};
@@ -438,11 +401,11 @@ void Osd::PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
               config_.pull_timeout);
 }
 
-void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,
-                       const std::vector<uint32_t>& acting) {
-  sim::Envelope req_envelope = request;
+void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
+                       std::vector<uint32_t> acting) {
   sim::Time arrival = Now();
-  AfterCpu(OpCost(req_in), [this, req = req_in, req_envelope, acting, arrival] {
+  sim::Time cost = OpCost(req);
+  AfterCpu(cost, [this, request, req = std::move(req), acting = std::move(acting), arrival] {
     ++ops_served_;
     // Count the transaction under its first op's type (how Ceph labels a
     // multi-op MOSDOp), and every constituent op individually.
@@ -450,48 +413,42 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,
     for (const Op& op : req.ops) {
       perf_.Inc(std::string("osd.op.") + OpTypeName(op.type) + ".count");
     }
+    // One lookup and one execution: the staged view the expansion builds
+    // is the one the primary commits.
+    TxnObject staged = store_.Stage(req.oid);
     auto results = std::make_shared<std::vector<OpResult>>();
     std::vector<Op> expanded;
-    mal::Status status = ExpandTransaction(req, results.get(), &expanded);
+    mal::Status status = ExpandTransaction(req, &staged, results.get(), &expanded);
     if (!status.ok()) {
       perf_.Inc(status.code() == mal::Code::kAborted ? "osd.txn_aborts"
                                                      : "osd.txn_failures");
     }
 
-    auto send_reply = [this, req_envelope, results, arrival, op_type] {
+    auto send_reply = [this, request, results, arrival, op_type] {
       perf_.Observe("osd.op." + op_type + ".latency_us",
                     static_cast<double>(Now() - arrival) / 1e3);
       OsdOpReply reply;
       reply.map_epoch = osd_map_.epoch;
-      reply.results = *results;
+      reply.results = std::move(*results);  // sent once
       mal::Buffer payload;
       mal::Encoder enc(&payload);
       reply.Encode(&enc);
-      Reply(req_envelope, std::move(payload));
+      Reply(request, std::move(payload));
     };
 
     bool mutating = false;
+    bool removed = false;
     for (const Op& op : expanded) {
-      mutating = mutating || IsMutating(op);
+      mutating = mutating || IsMutating(op.type);
+      removed = removed || op.type == Op::Type::kRemove;
     }
     if (!status.ok() || !mutating) {
       send_reply();  // read-only or failed: no replication round
       return;
     }
 
-    // Commit locally.
-    std::vector<OpResult> local_results;
-    mal::Status commit = store_.ApplyTransaction(req.oid, expanded, &local_results);
-    if (commit.ok()) {
-      NotifyWatchers(req.oid);
-    }
-    if (!commit.ok()) {
-      // Should not happen: expansion validated the transaction.
-      MAL_ERROR(name().ToString()) << "commit failed after validation: " << commit;
-      (*results)[0].status = commit;
-      send_reply();
-      return;
-    }
+    store_.Commit(req.oid, staged, removed, /*mutated=*/true);
+    NotifyWatchers(req.oid);
 
     // Replicate the expanded transaction.
     std::vector<uint32_t> replicas(acting.begin() + 1, acting.end());
@@ -502,9 +459,7 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req_in,
     // Encode the replicated transaction once; each SendRequest below takes
     // a COW alias of the same bytes, so fan-out is O(replicas), not
     // O(replicas * payload).
-    OsdOpRequest rep;
-    rep.oid = req.oid;
-    rep.ops = expanded;
+    OsdOpRequest rep{req.oid, std::move(expanded)};
     mal::Buffer rep_payload;
     mal::Encoder rep_enc(&rep_payload);
     rep.Encode(&rep_enc);
@@ -559,6 +514,7 @@ void Osd::AdoptMap(const mon::OsdMap& map, bool gossip) {
 
 void Osd::AdoptMapNow(const mon::OsdMap& map, bool gossip) {
   osd_map_ = map;
+  placement_.Clear();
   InstallScriptInterfaces();
   if (on_map_applied) {
     on_map_applied(osd_map_.epoch);
@@ -731,7 +687,7 @@ void Osd::ScrubTick() {
     return;
   }
   const std::string& oid = locals[rng_.NextBelow(locals.size())];
-  std::vector<uint32_t> acting = ActingSetForOid(oid, osd_map_, config_.replicas);
+  std::vector<uint32_t> acting = placement_.ActingSet(oid, osd_map_, config_.replicas);
   if (acting.empty() || acting[0] != name().id) {
     return;
   }

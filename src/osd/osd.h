@@ -123,11 +123,11 @@ class Osd : public sim::Actor {
   void RegisterHandlers();
 
   void HandleOsdOp(const sim::Envelope& request, OsdOpRequest req);
-  void ExecuteOsdOp(const sim::Envelope& request, const OsdOpRequest& req,
-                    const std::vector<uint32_t>& acting);
-  // Tries peers[index..] for a copy of req.oid, then executes the op.
-  void PullThenExecute(const sim::Envelope& request, const OsdOpRequest& req,
-                       const std::vector<uint32_t>& acting, size_t index);
+  void ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
+                    std::vector<uint32_t> acting);
+  // Tries candidates[index..] for a copy of req.oid, then executes the op.
+  void PullThenExecute(const sim::Envelope& request, OsdOpRequest req,
+                       std::vector<uint32_t> candidates, size_t index);
   void HandleRepOp(const sim::Envelope& request, OsdOpRequest req);
   void HandleGossip(const sim::Envelope& request);
   void HandleWatch(const sim::Envelope& request, WatchRequest req);
@@ -151,15 +151,18 @@ class Osd : public sim::Actor {
   void GossipTo(uint32_t peer, const mal::Buffer& encoded_map);
   sim::Time OpCost(const OsdOpRequest& req) const;
 
-  // Expands kExec ops and validates the whole transaction against a staged
-  // copy. On success, `expanded` holds only primitive ops.
-  mal::Status ExpandTransaction(const OsdOpRequest& req, std::vector<OpResult>* results,
-                                std::vector<Op>* expanded);
+  // Executes the transaction once against `staged` (the caller's view of
+  // req.oid, from ObjectStore::Stage), expanding kExec ops through the class
+  // runtime. On success `staged` holds the transaction's effect, ready to
+  // commit, and `expanded` holds the primitive ops a replica replays.
+  mal::Status ExpandTransaction(const OsdOpRequest& req, TxnObject* staged,
+                                std::vector<OpResult>* results, std::vector<Op>* expanded);
 
   OsdConfig config_;
   svc::ServiceDispatcher dispatcher_{this};
   mon::MonClient mon_client_;
   mon::OsdMap osd_map_;
+  PlacementTable placement_;  // for osd_map_
   ObjectStore store_;
   cls::ClassRegistry registry_;
   mal::Rng rng_;

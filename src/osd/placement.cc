@@ -83,8 +83,16 @@ std::optional<EcShardRef> ParseEcShardOid(const std::string& oid) {
   return EcShardRef{oid.substr(0, marker), index};
 }
 
-std::vector<uint32_t> ActingSetForOid(const std::string& oid, const mon::OsdMap& map,
-                                      uint32_t default_replicas) {
+namespace {
+
+// The pool-aware placement rule, asking `pg_set(pg, width)` for the
+// rendezvous set of a PG so the pure and memoized paths share it.
+template <typename PgSetFn>
+std::vector<uint32_t> ResolveActingSet(const std::string& oid, const mon::OsdMap& map,
+                                       uint32_t default_replicas, PgSetFn&& pg_set) {
+  auto for_object = [&](const std::string& name, uint32_t width) -> decltype(auto) {
+    return pg_set(PgForObject(name, map.pg_count), width);
+  };
   size_t slash = oid.find('/');
   if (slash != std::string::npos && slash > 0) {
     auto layout = mon::PoolLayoutOf(map, oid.substr(0, slash));
@@ -96,19 +104,56 @@ std::vector<uint32_t> ActingSetForOid(const std::string& oid, const mon::OsdMap&
           // full-width set. When fewer OSDs are up than shards, wrap so the
           // pool stays writable; the scrub agent re-separates shards once
           // membership recovers.
-          auto set = OsdsForObject(ref->logical_oid, map, layout->num_shards());
+          const auto& set = for_object(ref->logical_oid, layout->num_shards());
           if (set.empty()) {
             return {};
           }
           return {set[ref->index % set.size()]};
         }
         // Non-shard metadata in an EC pool (the object index): replicate it.
-        return OsdsForObject(oid, map, 3);
+        return for_object(oid, 3);
       }
-      return OsdsForObject(oid, map, layout->width);
+      return for_object(oid, layout->width);
     }
   }
-  return OsdsForObject(oid, map, default_replicas);
+  return for_object(oid, default_replicas);
+}
+
+}  // namespace
+
+std::vector<uint32_t> ActingSetForOid(const std::string& oid, const mon::OsdMap& map,
+                                      uint32_t default_replicas) {
+  auto pg_set = [&](uint32_t pg, uint32_t width) {
+    return PgToOsds(pg, map, width);
+  };
+  return ResolveActingSet(oid, map, default_replicas, pg_set);
+}
+
+std::vector<uint32_t> PlacementTable::ActingSet(const std::string& oid,
+                                                const mon::OsdMap& map,
+                                                uint32_t default_replicas) {
+  auto pg_set = [&](uint32_t pg, uint32_t width) -> const std::vector<uint32_t>& {
+    return PgSet(pg, map, width);
+  };
+  return ResolveActingSet(oid, map, default_replicas, pg_set);
+}
+
+const std::vector<uint32_t>& PlacementTable::PgSet(uint32_t pg, const mon::OsdMap& map,
+                                                   uint32_t width) {
+  auto it = std::find_if(widths_.begin(), widths_.end(),
+                         [width](const Width& w) { return w.width == width; });
+  if (it == widths_.end()) {
+    widths_.push_back({width, {}});
+    it = widths_.end() - 1;
+  }
+  if (pg >= it->sets.size()) {
+    it->sets.resize(std::max<size_t>(map.pg_count, pg + 1));
+  }
+  auto& slot = it->sets[pg];
+  if (!slot.has_value()) {
+    slot = PgToOsds(pg, map, width);
+  }
+  return *slot;
 }
 
 }  // namespace mal::osd

@@ -58,6 +58,29 @@ std::optional<EcShardRef> ParseEcShardOid(const std::string& oid);
 std::vector<uint32_t> ActingSetForOid(const std::string& oid, const mon::OsdMap& map,
                                       uint32_t default_replicas);
 
+// ActingSetForOid memoized for one installed map: each PG's rendezvous set
+// is computed once per width, instead of once per op. The holder (an OSD or
+// a RADOS client) clears it wherever it installs a map. The table neither
+// watches the map nor keys on it, so a map edited in place keeps its stale
+// answers until Clear(); the pure functions above stay the reference.
+class PlacementTable {
+ public:
+  // Equals ActingSetForOid(oid, map, default_replicas) while `map` is the
+  // map installed at the last Clear().
+  std::vector<uint32_t> ActingSet(const std::string& oid, const mon::OsdMap& map,
+                                  uint32_t default_replicas);
+  void Clear() { widths_.clear(); }
+
+ private:
+  const std::vector<uint32_t>& PgSet(uint32_t pg, const mon::OsdMap& map, uint32_t width);
+
+  struct Width {
+    uint32_t width;
+    std::vector<std::optional<std::vector<uint32_t>>> sets;  // by PG
+  };
+  std::vector<Width> widths_;
+};
+
 }  // namespace mal::osd
 
 #endif  // MALACOLOGY_OSD_PLACEMENT_H_

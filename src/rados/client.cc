@@ -15,20 +15,7 @@ void RadosClient::RefreshMap(DoneHandler on_done) {
       mon::MapKind::kOsdMap,
       [this, on_done = std::move(on_done)](mal::Status status,
                                            const mon::MapUpdate& update) {
-        if (!status.ok()) {
-          on_done(status);
-          return;
-        }
-        mal::Decoder dec(update.map_payload);
-        auto map = mon::OsdMap::Decode(&dec);
-        if (!map.ok()) {
-          on_done(map.status());
-          return;
-        }
-        if (map.value().epoch > osd_map_.epoch) {
-          osd_map_ = std::move(map).value();
-        }
-        on_done(mal::Status::Ok());
+        on_done(status.ok() ? InstallMap(update.map_payload).status() : status);
       });
 }
 
@@ -49,22 +36,30 @@ void RadosClient::RefreshMapAfterFailure(DoneHandler on_done) {
           on_done(status);
           return;
         }
-        mal::Decoder dec(update.map_payload);
-        auto map = mon::OsdMap::Decode(&dec);
-        if (!map.ok()) {
-          on_done(map.status());
-          return;
-        }
-        if (map.value().epoch > osd_map_.epoch) {
-          osd_map_ = std::move(map).value();
+        auto installed = InstallMap(update.map_payload);
+        if (installed.ok() && installed.value()) {
           // The push stream missed at least one epoch — most likely the
           // subscription died with a crashed monitor. Re-register so
           // future epochs arrive as pushes again instead of being
           // discovered one failed op at a time.
           mon_client_.Subscribe(mon::MapKind::kOsdMap, osd_map_.epoch);
         }
-        on_done(mal::Status::Ok());
+        on_done(installed.status());
       });
+}
+
+mal::Result<bool> RadosClient::InstallMap(const mal::Buffer& map_payload) {
+  mal::Decoder dec(map_payload);
+  auto map = mon::OsdMap::Decode(&dec);
+  if (!map.ok()) {
+    return map.status();
+  }
+  if (map.value().epoch <= osd_map_.epoch) {
+    return false;
+  }
+  osd_map_ = std::move(map).value();
+  placement_.Clear();
+  return true;
 }
 
 bool RadosClient::OnMapUpdate(const sim::Envelope& envelope) {
@@ -76,11 +71,7 @@ bool RadosClient::OnMapUpdate(const sim::Envelope& envelope) {
   if (update.kind != mon::MapKind::kOsdMap) {
     return false;
   }
-  mal::Decoder map_dec(update.map_payload);
-  auto map = mon::OsdMap::Decode(&map_dec);
-  if (map.ok() && map.value().epoch > osd_map_.epoch) {
-    osd_map_ = std::move(map).value();
-  }
+  (void)InstallMap(update.map_payload);
   return true;
 }
 
@@ -89,66 +80,34 @@ void RadosClient::Execute(const std::string& oid, std::vector<osd::Op> ops,
   if (perf_ != nullptr) {
     perf_->Inc("rados.ops");
   }
-  auto shared_ops = std::make_shared<std::vector<osd::Op>>(std::move(ops));
-  ExecuteAttempt(oid, std::move(shared_ops), std::move(on_reply),
-                 svc::Backoff(retry_policy_));
+  OpState op{{oid, std::move(ops)}, std::move(on_reply), svc::Backoff(retry_policy_)};
+  ExecuteAttempt(std::make_shared<OpState>(std::move(op)));
 }
 
-void RadosClient::ExecuteAttempt(const std::string& oid,
-                                 std::shared_ptr<std::vector<osd::Op>> ops,
-                                 OpHandler on_reply, svc::Backoff backoff) {
-  if (backoff.Exhausted()) {
-    on_reply(mal::Status::Unavailable("no reachable primary for " + oid),
-             osd::OsdOpReply{});
+void RadosClient::ExecuteAttempt(std::shared_ptr<OpState> op) {
+  if (op->backoff.Exhausted()) {
+    op->on_reply(mal::Status::Unavailable("no reachable primary for " + op->req.oid),
+                 osd::OsdOpReply{});
     return;
   }
-  if (backoff.attempt() > 0 && perf_ != nullptr) {
+  if (op->backoff.attempt() > 0 && perf_ != nullptr) {
     perf_->Inc("rados.retries");
   }
-  // Shared retry continuation: consumes one attempt from the backoff
-  // schedule, waits out its (zero, at the default policy) delay, and
-  // re-enters. At base_delay == 0 this is a synchronous tail call.
-  auto retry = [this, oid, ops, on_reply, backoff]() mutable {
-    // Consume the attempt before building the continuation: the lambda must
-    // capture the advanced backoff (argument evaluation order would
-    // otherwise leave it at the current attempt forever).
-    sim::Time delay = backoff.NextDelay(&retry_rng_);
-    svc::RunAfter(owner_->simulator(), delay, [this, oid, ops, on_reply, backoff] {
-      ExecuteAttempt(oid, ops, on_reply, backoff);
-    });
-  };
-  std::vector<uint32_t> acting = osd::ActingSetForOid(oid, osd_map_, replicas_);
+  std::vector<uint32_t> acting = placement_.ActingSet(op->req.oid, osd_map_, replicas_);
   if (acting.empty()) {
     // No map yet (or no OSD up): refresh and retry.
-    RefreshMapAfterFailure([on_reply, retry](mal::Status status) mutable {
-      if (!status.ok()) {
-        on_reply(status, osd::OsdOpReply{});
-        return;
-      }
-      retry();
-    });
+    RefreshThenRetry(std::move(op));
     return;
   }
-  osd::OsdOpRequest req;
-  req.oid = oid;
-  req.ops = *ops;
   mal::Buffer payload;
   mal::Encoder enc(&payload);
-  req.Encode(&enc);
+  op->req.Encode(&enc);
   owner_->SendRequest(
       sim::EntityName::Osd(acting[0]), osd::kMsgOsdOp, std::move(payload),
-      [this, on_reply,
-       retry](mal::Status status, const sim::Envelope& reply) mutable {
+      [this, op = std::move(op)](mal::Status status, const sim::Envelope& reply) {
         if (status.code() == mal::Code::kUnavailable ||
             status.code() == mal::Code::kTimedOut) {
-          // Stale placement or dead primary: refresh the map and retry.
-          RefreshMapAfterFailure([on_reply, retry](mal::Status refresh_status) mutable {
-            if (!refresh_status.ok()) {
-              on_reply(refresh_status, osd::OsdOpReply{});
-              return;
-            }
-            retry();
-          });
+          RefreshThenRetry(op);
           return;
         }
         if (status.code() == mal::Code::kBusy) {
@@ -157,148 +116,118 @@ void RadosClient::ExecuteAttempt(const std::string& oid,
           if (perf_ != nullptr) {
             perf_->Inc("rados.busy_rejections");
           }
-          retry();
+          Retry(op);
           return;
         }
         if (!status.ok()) {
           // kDeadlineExceeded and transaction-level errors are terminal:
           // retrying a spent budget only wastes server CPU.
-          on_reply(status, osd::OsdOpReply{});
+          op->on_reply(status, osd::OsdOpReply{});
           return;
         }
         mal::Decoder dec(reply.payload);
-        on_reply(mal::Status::Ok(), osd::OsdOpReply::Decode(&dec));
+        op->on_reply(mal::Status::Ok(), osd::OsdOpReply::Decode(&dec));
       });
+}
+
+void RadosClient::Retry(std::shared_ptr<OpState> op) {
+  sim::Time delay = op->backoff.NextDelay(&retry_rng_);
+  svc::RunAfter(owner_->simulator(), delay,
+                [this, op = std::move(op)]() mutable { ExecuteAttempt(std::move(op)); });
+}
+
+void RadosClient::RefreshThenRetry(std::shared_ptr<OpState> op) {
+  RefreshMapAfterFailure([this, op = std::move(op)](mal::Status status) mutable {
+    if (!status.ok()) {
+      op->on_reply(status, osd::OsdOpReply{});
+      return;
+    }
+    Retry(std::move(op));
+  });
 }
 
 namespace {
 
-// Distills a one-op reply into (status, out buffer).
-void SingleOpResult(mal::Status status, const osd::OsdOpReply& reply, mal::Status* op_status,
-                    mal::Buffer* out) {
-  if (!status.ok()) {
-    *op_status = status;
-    return;
-  }
-  if (reply.results.empty()) {
-    *op_status = mal::Status::Internal("empty op reply");
-    return;
-  }
-  *op_status = reply.results[0].status;
-  if (out != nullptr) {
-    *out = reply.results[0].out;
-  }
+osd::Op MakeOp(osd::Op::Type type) {
+  osd::Op op;
+  op.type = type;
+  return op;
 }
 
 }  // namespace
 
-void RadosClient::WriteFull(const std::string& oid, mal::Buffer data, DoneHandler on_done) {
-  osd::Op op;
-  op.type = osd::Op::Type::kWriteFull;
-  op.data = std::move(data);
-  Execute(oid, {op}, [on_done = std::move(on_done)](mal::Status s,
-                                                    const osd::OsdOpReply& reply) {
-    mal::Status op_status;
-    SingleOpResult(s, reply, &op_status, nullptr);
-    on_done(op_status);
+void RadosClient::ExecuteOne(const std::string& oid, osd::Op op, DataHandler on_data) {
+  std::vector<osd::Op> ops;
+  ops.push_back(std::move(op));
+  Execute(oid, std::move(ops), [on_data = std::move(on_data)](mal::Status s,
+                                                              const osd::OsdOpReply& reply) {
+    if (s.ok() && reply.results.empty()) {
+      s = mal::Status::Internal("empty op reply");
+    }
+    if (!s.ok()) {
+      on_data(s, mal::Buffer());
+      return;
+    }
+    on_data(reply.results[0].status, reply.results[0].out);
   });
+}
+
+void RadosClient::ExecuteOne(const std::string& oid, osd::Op op, DoneHandler on_done) {
+  DataHandler on_data = [on_done = std::move(on_done)](mal::Status s, const mal::Buffer&) {
+    on_done(s);
+  };
+  ExecuteOne(oid, std::move(op), std::move(on_data));
+}
+
+void RadosClient::WriteFull(const std::string& oid, mal::Buffer data, DoneHandler on_done) {
+  osd::Op op = MakeOp(osd::Op::Type::kWriteFull);
+  op.data = std::move(data);
+  ExecuteOne(oid, std::move(op), std::move(on_done));
 }
 
 void RadosClient::Append(const std::string& oid, mal::Buffer data, DoneHandler on_done) {
-  osd::Op op;
-  op.type = osd::Op::Type::kAppend;
+  osd::Op op = MakeOp(osd::Op::Type::kAppend);
   op.data = std::move(data);
-  Execute(oid, {op}, [on_done = std::move(on_done)](mal::Status s,
-                                                    const osd::OsdOpReply& reply) {
-    mal::Status op_status;
-    SingleOpResult(s, reply, &op_status, nullptr);
-    on_done(op_status);
-  });
+  ExecuteOne(oid, std::move(op), std::move(on_done));
 }
 
 void RadosClient::Read(const std::string& oid, DataHandler on_data) {
-  osd::Op op;
-  op.type = osd::Op::Type::kRead;
-  Execute(oid, {op}, [on_data = std::move(on_data)](mal::Status s,
-                                                    const osd::OsdOpReply& reply) {
-    mal::Status op_status;
-    mal::Buffer out;
-    SingleOpResult(s, reply, &op_status, &out);
-    on_data(op_status, out);
-  });
+  ExecuteOne(oid, MakeOp(osd::Op::Type::kRead), std::move(on_data));
 }
 
 void RadosClient::Remove(const std::string& oid, DoneHandler on_done) {
-  osd::Op op;
-  op.type = osd::Op::Type::kRemove;
-  Execute(oid, {op}, [on_done = std::move(on_done)](mal::Status s,
-                                                    const osd::OsdOpReply& reply) {
-    mal::Status op_status;
-    SingleOpResult(s, reply, &op_status, nullptr);
-    on_done(op_status);
-  });
+  ExecuteOne(oid, MakeOp(osd::Op::Type::kRemove), std::move(on_done));
 }
 
 void RadosClient::CreateExclusive(const std::string& oid, DoneHandler on_done) {
-  osd::Op op;
-  op.type = osd::Op::Type::kCreate;
+  osd::Op op = MakeOp(osd::Op::Type::kCreate);
   op.excl = true;
-  Execute(oid, {op}, [on_done = std::move(on_done)](mal::Status s,
-                                                    const osd::OsdOpReply& reply) {
-    mal::Status op_status;
-    SingleOpResult(s, reply, &op_status, nullptr);
-    on_done(op_status);
-  });
+  ExecuteOne(oid, std::move(op), std::move(on_done));
 }
 
 void RadosClient::OmapSet(const std::string& oid, const std::string& key,
                           const std::string& value, DoneHandler on_done) {
-  osd::Op op;
-  op.type = osd::Op::Type::kOmapSet;
+  osd::Op op = MakeOp(osd::Op::Type::kOmapSet);
   op.key = key;
   op.value = value;
-  Execute(oid, {op}, [on_done = std::move(on_done)](mal::Status s,
-                                                    const osd::OsdOpReply& reply) {
-    mal::Status op_status;
-    SingleOpResult(s, reply, &op_status, nullptr);
-    on_done(op_status);
-  });
+  ExecuteOne(oid, std::move(op), std::move(on_done));
 }
 
 void RadosClient::OmapGet(const std::string& oid, const std::string& key,
                           DataHandler on_data) {
-  osd::Op op;
-  op.type = osd::Op::Type::kOmapGet;
+  osd::Op op = MakeOp(osd::Op::Type::kOmapGet);
   op.key = key;
-  Execute(oid, {op}, [on_data = std::move(on_data)](mal::Status s,
-                                                    const osd::OsdOpReply& reply) {
-    mal::Status op_status;
-    mal::Buffer out;
-    SingleOpResult(s, reply, &op_status, &out);
-    on_data(op_status, out);
-  });
+  ExecuteOne(oid, std::move(op), std::move(on_data));
 }
 
 void RadosClient::Exec(const std::string& oid, const std::string& cls,
                        const std::string& method, mal::Buffer input, DataHandler on_out) {
-  osd::Op op;
-  op.type = osd::Op::Type::kExec;
-  op.cls_name = cls;
-  op.method = method;
-  op.data = std::move(input);
-  Execute(oid, {op}, [on_out = std::move(on_out)](mal::Status s,
-                                                  const osd::OsdOpReply& reply) {
-    mal::Status op_status;
-    mal::Buffer out;
-    SingleOpResult(s, reply, &op_status, &out);
-    on_out(op_status, out);
-  });
+  ExecuteOne(oid, MakeExecOp(cls, method, std::move(input)), std::move(on_out));
 }
 
 osd::Op RadosClient::MakeExecOp(const std::string& cls, const std::string& method,
                                 mal::Buffer input) {
-  osd::Op op;
-  op.type = osd::Op::Type::kExec;
+  osd::Op op = MakeOp(osd::Op::Type::kExec);
   op.cls_name = cls;
   op.method = method;
   op.data = std::move(input);
@@ -359,7 +288,7 @@ void RadosClient::ExecuteTargeted(std::vector<TargetedOp> ops, TargetedHandler o
 
 void RadosClient::Watch(const std::string& oid, NotifyHandler on_notify,
                         DoneHandler on_done) {
-  std::vector<uint32_t> acting = osd::ActingSetForOid(oid, osd_map_, replicas_);
+  std::vector<uint32_t> acting = placement_.ActingSet(oid, osd_map_, replicas_);
   if (acting.empty()) {
     on_done(mal::Status::Unavailable("no primary for " + oid));
     return;
@@ -381,7 +310,7 @@ void RadosClient::Watch(const std::string& oid, NotifyHandler on_notify,
 
 void RadosClient::Unwatch(const std::string& oid, DoneHandler on_done) {
   notify_handlers_.erase(oid);
-  std::vector<uint32_t> acting = osd::ActingSetForOid(oid, osd_map_, replicas_);
+  std::vector<uint32_t> acting = placement_.ActingSet(oid, osd_map_, replicas_);
   if (acting.empty()) {
     on_done(mal::Status::Ok());
     return;

@@ -128,14 +128,34 @@ class RadosClient {
   // when it makes progress (a failed op plus a missed epoch usually means
   // the subscription died with a crashed monitor).
   void RefreshMapAfterFailure(DoneHandler on_done);
-  void ExecuteAttempt(const std::string& oid, std::shared_ptr<std::vector<osd::Op>> ops,
-                      OpHandler on_reply, svc::Backoff backoff);
+  // Decodes an OSDMap and installs it if strictly newer than ours (the one
+  // place osd_map_ changes, so the placement table is cleared with it).
+  // Returns whether the map was installed.
+  mal::Result<bool> InstallMap(const mal::Buffer& map_payload);
+
+  // One Execute call across all its attempts: the request as sent, the
+  // caller's handler, and the retry schedule.
+  struct OpState {
+    osd::OsdOpRequest req;
+    OpHandler on_reply;
+    svc::Backoff backoff;
+  };
+  void ExecuteAttempt(std::shared_ptr<OpState> op);
+  // Consumes one attempt from the backoff schedule, waits out its (zero, at
+  // the default policy) delay, and re-enters ExecuteAttempt.
+  void Retry(std::shared_ptr<OpState> op);
+  // Stale placement or dead primary: refresh the map, then Retry.
+  void RefreshThenRetry(std::shared_ptr<OpState> op);
+  // A one-op transaction reporting that op's status (and output).
+  void ExecuteOne(const std::string& oid, osd::Op op, DataHandler on_data);
+  void ExecuteOne(const std::string& oid, osd::Op op, DoneHandler on_done);
 
   sim::Actor* owner_;
   mon::MonClient mon_client_;
   mal::PerfRegistry* perf_ = nullptr;
   uint32_t replicas_;
   mon::OsdMap osd_map_;
+  osd::PlacementTable placement_;  // for osd_map_
   svc::RetryPolicy retry_policy_{};
   mal::Rng retry_rng_;
   std::map<std::string, NotifyHandler> notify_handlers_;

@@ -11,88 +11,40 @@
 namespace mal::sim {
 namespace {
 
-// Packs an EntityName into the DedupWindow's integer key space.
+// Packs an EntityName into the ReplayWindow's sender key space.
 uint64_t NameKey(EntityName name) {
   return (static_cast<uint64_t>(name.type) << 32) | name.id;
 }
 
 }  // namespace
 
-void DedupWindow::Reset() {
-  table_.assign(kTableSize, Entry{0, 0, kEmpty});
-  ring_.assign(kWindow, {0, 0});
-  ring_pos_ = 0;
-  count_ = 0;
-  tombstones_ = 0;
-}
-
-bool DedupWindow::Insert(uint64_t a, uint64_t b) {
-  size_t i = Hash(a, b);
-  size_t insert_at = kTableSize;  // first tombstone seen, if any
-  while (true) {
-    Entry& e = table_[i];
-    if (e.state == kEmpty) {
-      break;
+bool ReplayWindow::Insert(uint64_t sender, uint64_t id) {
+  Sender& window = senders_[sender];
+  auto word = [&](uint64_t i) -> uint64_t& {
+    return window.seen[(i % kWindow) / 64];
+  };
+  auto bit = [](uint64_t i) {
+    return uint64_t{1} << (i % 64);
+  };
+  if (id > window.max_id) {
+    // Slide forward: ids past the old maximum were never seen, so their
+    // slots (holding ids one window older) are cleared.
+    if (id - window.max_id >= kWindow) {
+      window.seen.fill(0);
+    } else {
+      for (uint64_t i = window.max_id + 1; i <= id; ++i) {
+        word(i) &= ~bit(i);
+      }
     }
-    if (e.state == kUsed && e.a == a && e.b == b) {
-      return false;  // replay
-    }
-    if (e.state == kTombstone && insert_at == kTableSize) {
-      insert_at = i;
-    }
-    i = (i + 1) & kTableMask;
+    window.max_id = id;
+  } else if (window.max_id - id >= kWindow) {
+    return true;  // older than the window: treated as new
   }
-  if (count_ == kWindow) {
-    // Window full: evict the oldest key before recording the new one.
-    auto [old_a, old_b] = ring_[ring_pos_];
-    Erase(old_a, old_b);
+  if ((word(id) & bit(id)) != 0) {
+    return false;  // replay
   }
-  if (insert_at == kTableSize) {
-    insert_at = i;
-  } else {
-    --tombstones_;
-  }
-  table_[insert_at] = Entry{a, b, kUsed};
-  ++count_;
-  ring_[ring_pos_] = {a, b};
-  ring_pos_ = (ring_pos_ + 1) % kWindow;
-  if (tombstones_ > kTableSize / 4) {
-    Rebuild();
-  }
+  word(id) |= bit(id);
   return true;
-}
-
-void DedupWindow::Erase(uint64_t a, uint64_t b) {
-  size_t i = Hash(a, b);
-  while (true) {
-    Entry& e = table_[i];
-    if (e.state == kEmpty) {
-      return;  // not present (cannot happen for ring-tracked keys)
-    }
-    if (e.state == kUsed && e.a == a && e.b == b) {
-      e.state = kTombstone;
-      --count_;
-      ++tombstones_;
-      return;
-    }
-    i = (i + 1) & kTableMask;
-  }
-}
-
-void DedupWindow::Rebuild() {
-  std::vector<Entry> old = std::move(table_);
-  table_.assign(kTableSize, Entry{0, 0, kEmpty});
-  tombstones_ = 0;
-  for (const Entry& e : old) {
-    if (e.state != kUsed) {
-      continue;
-    }
-    size_t i = Hash(e.a, e.b);
-    while (table_[i].state != kEmpty) {
-      i = (i + 1) & kTableMask;
-    }
-    table_[i] = Entry{e.a, e.b, kUsed};
-  }
 }
 
 Actor::Actor(Simulator* simulator, Network* network, EntityName name)
@@ -384,7 +336,7 @@ void Actor::Deliver(Envelope envelope) {
   // would double-apply non-idempotent handlers — and for write-once storage
   // the replay's kReadOnly error reply could overtake the original's ok
   // reply, tricking the caller into a spurious fresh-position retry (a
-  // double commit). The window is bounded FIFO; in a duplicate-free run
+  // double commit). The window is per requester; in a duplicate-free run
   // every insert succeeds and behavior is byte-identical.
   if (envelope.rpc_id != 0 &&
       !seen_requests_.Insert(NameKey(envelope.from), envelope.rpc_id)) {

@@ -8,12 +8,14 @@
 #ifndef MALACOLOGY_SIM_ACTOR_H_
 #define MALACOLOGY_SIM_ACTOR_H_
 
+#include <array>
 #include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/buffer.h"
@@ -27,55 +29,27 @@ class PerfRegistry;
 
 namespace mal::sim {
 
-// Bounded FIFO membership window over (sender, rpc_id) pairs, used for
-// replay suppression on the delivery hot path. Semantically identical to a
-// std::set plus an eviction deque holding the last `kWindow` unique keys,
-// but backed by a flat open-addressing table and a ring buffer so the
-// per-request cost is a couple of probes instead of two node allocations.
-class DedupWindow {
+// Per-sender anti-replay window over rpc ids, used for replay suppression
+// on the delivery hot path: for each sender, the highest id seen plus a
+// bitmap of the kWindow ids ending at it (the sliding window of IPsec and
+// DTLS). A repeat within the window is a replay; an id older than the
+// window is accepted, as a key evicted from a bounded FIFO of seen ids
+// would be. Senders never reuse an id, so without network duplicates every
+// arrival is accepted.
+class ReplayWindow {
  public:
-  static constexpr size_t kWindow = 4096;
+  static constexpr uint64_t kWindow = 4096;
 
-  DedupWindow() { Reset(); }
-
-  // Returns true if (a, b) was newly recorded; false if it was already in
-  // the window (a replay). Inserting a fresh key evicts the oldest one once
-  // the window is full.
-  bool Insert(uint64_t a, uint64_t b);
+  // Returns true if `id` from `sender` was newly recorded; false if it is a
+  // replay of an id still inside that sender's window.
+  bool Insert(uint64_t sender, uint64_t id);
 
  private:
-  // 4x the window keeps probe chains short; tombstones from evictions are
-  // collected by rebuilding the table when they pile up.
-  static constexpr size_t kTableSize = kWindow * 4;
-  static constexpr size_t kTableMask = kTableSize - 1;
-
-  enum : uint8_t { kEmpty = 0, kUsed = 1, kTombstone = 2 };
-
-  struct Entry {
-    uint64_t a;
-    uint64_t b;
-    uint8_t state;
+  struct Sender {
+    uint64_t max_id = 0;
+    std::array<uint64_t, kWindow / 64> seen{};  // bit (id % kWindow)
   };
-
-  static size_t Hash(uint64_t a, uint64_t b) {
-    uint64_t x = a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return static_cast<size_t>(x) & kTableMask;
-  }
-
-  void Reset();
-  void Erase(uint64_t a, uint64_t b);
-  void Rebuild();
-
-  std::vector<Entry> table_;
-  std::vector<std::pair<uint64_t, uint64_t>> ring_;
-  size_t ring_pos_ = 0;   // next eviction / insertion point
-  size_t count_ = 0;      // live keys (<= kWindow)
-  size_t tombstones_ = 0;
+  std::unordered_map<uint64_t, Sender> senders_;
 };
 
 class Actor : public MessageSink {
@@ -216,14 +190,15 @@ class Actor : public MessageSink {
   std::set<std::pair<EntityName, uint64_t>> admitted_;
   uint64_t shed_total_ = 0;
   uint64_t deadline_drops_ = 0;
-  // Replay suppression: recently-seen (requester, rpc_id) pairs, bounded
-  // FIFO. SendRequest never reuses an rpc_id, so a second arrival of the
-  // same pair can only be a network-level duplicate — executing it twice
-  // would double-apply non-idempotent handlers (and its error reply could
-  // overtake the original's success reply at the caller). Like Ceph's dup
-  // op detection via osd_reqid, the duplicate is dropped; the execution of
-  // the first copy already replied (or will).
-  DedupWindow seen_requests_;
+  // Replay suppression: a per-requester window of recent rpc_ids.
+  // SendRequest never reuses an rpc_id, so a second arrival of the same
+  // (requester, rpc_id) can only be a network-level duplicate — executing it
+  // twice would double-apply non-idempotent handlers (and its error reply
+  // could overtake the original's success reply at the caller). Like Ceph's
+  // dup op detection via osd_reqid, the duplicate is dropped; the execution
+  // of the first copy already replied (or will). The window survives
+  // Crash/Recover, as a replay can arrive after a restart.
+  ReplayWindow seen_requests_;
   uint64_t duplicates_dropped_ = 0;
   mal::PerfRegistry* svc_perf_ = nullptr;
   Time cpu_busy_until_ = 0;

@@ -1,6 +1,11 @@
 // Unit tests for the object store (transactions, ops) and placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "src/osd/object_store.h"
 #include "src/osd/placement.h"
 
@@ -403,6 +408,114 @@ TEST(ObjectStoreTest, RemoveThenRecreateInOneTransaction) {
   EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
 }
 
+TEST(ObjectStoreTest, ListIsSortedWhateverTheInsertionOrder) {
+  ObjectStore store;
+  std::vector<OpResult> results;
+  std::vector<std::string> names;
+  for (int i = 0; i < 200; ++i) {
+    // A scrambled insertion order, spanning several name lengths.
+    names.push_back("obj-" + std::to_string((i * 7919) % 1000));
+  }
+  for (const std::string& name : names) {
+    ASSERT_TRUE(store.ApplyTransaction(name, {MakeOp(Op::Type::kCreate)}, &results).ok());
+  }
+  store.Put("a-put", Object{});
+  std::vector<std::string> listed = store.List();
+  names.push_back("a-put");
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(listed, names);
+}
+
+// Runs `ops` against a staged view and commits it, the way a primary does.
+Status StageAndCommit(ObjectStore* store, const std::string& oid, const std::vector<Op>& ops) {
+  TxnObject staged = store->Stage(oid);
+  bool removed = false;
+  bool mutated = false;
+  for (const Op& op : ops) {
+    mutated = mutated || IsMutating(op.type);
+    if (op.type == Op::Type::kRemove) {
+      staged.Remove();
+      removed = true;
+      continue;
+    }
+    OpResult result;
+    Status s = ObjectStore::ApplyOp(op, &staged, &result);
+    if (!s.ok()) {
+      return s;
+    }
+  }
+  store->Commit(oid, staged, removed, mutated);
+  return Status::Ok();
+}
+
+TEST(ObjectStoreTest, StagedCommitsKeepBytesUsedExact) {
+  ObjectStore store;
+  Op write = MakeOp(Op::Type::kWriteFull);
+  write.data = mal::Buffer::FromString("0123456789");
+  Op set = MakeOp(Op::Type::kOmapSet);
+  set.key = "k1";
+  set.value = "value-1";
+  Op del = MakeOp(Op::Type::kOmapDel);
+  del.key = "k1";
+  Op remove = MakeOp(Op::Type::kRemove);
+
+  // Create.
+  ASSERT_TRUE(StageAndCommit(&store, "obj", {MakeOp(Op::Type::kCreate), write, set}).ok());
+  EXPECT_EQ(store.bytes_used(), 10u + 2 + 7);
+  EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+  // Omap set (overwrite plus a new key), then delete.
+  set.value = "v";
+  Op set2 = set;
+  set2.key = "k2";
+  ASSERT_TRUE(StageAndCommit(&store, "obj", {set, set2}).ok());
+  EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+  ASSERT_TRUE(StageAndCommit(&store, "obj", {del}).ok());
+  EXPECT_EQ(store.bytes_used(), 10u + 2 + 1);
+  EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+  // Remove, then recreate within one transaction.
+  write.data = mal::Buffer::FromString("abc");
+  ASSERT_TRUE(StageAndCommit(&store, "obj", {remove, write}).ok());
+  EXPECT_EQ(store.bytes_used(), 3u);
+  EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+  EXPECT_TRUE(store.Get("obj").value()->omap.empty());
+  // Remove outright; a read-only view commits nothing.
+  ASSERT_TRUE(StageAndCommit(&store, "obj", {remove}).ok());
+  EXPECT_FALSE(store.Exists("obj"));
+  ASSERT_TRUE(StageAndCommit(&store, "gone", {MakeOp(Op::Type::kStat)}).code() ==
+              Code::kNotFound);
+  EXPECT_EQ(store.bytes_used(), 0u);
+  EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+}
+
+TEST(ObjectStoreTest, StagedCommitMatchesApplyTransaction) {
+  ObjectStore staged_store;
+  ObjectStore applied_store;
+  std::vector<OpResult> results;
+  Op write = MakeOp(Op::Type::kWriteFull);
+  write.data = mal::Buffer::FromString("payload");
+  Op append = MakeOp(Op::Type::kAppend);
+  append.data = mal::Buffer::FromString("+tail");
+  Op set = MakeOp(Op::Type::kOmapSet);
+  set.key = "k";
+  set.value = "v";
+  Op xattr = MakeOp(Op::Type::kXattrSet);
+  xattr.key = "x";
+  xattr.value = "y";
+  for (const std::vector<Op>& txn : std::vector<std::vector<Op>>{
+           {write, set}, {append, xattr}, {MakeOp(Op::Type::kRead)}, {append}}) {
+    ASSERT_TRUE(StageAndCommit(&staged_store, "obj", txn).ok());
+    ASSERT_TRUE(applied_store.ApplyTransaction("obj", txn, &results).ok());
+  }
+  const Object* a = staged_store.Get("obj").value();
+  const Object* b = applied_store.Get("obj").value();
+  EXPECT_EQ(a->data.ToString(), "payload+tail+tail");
+  EXPECT_EQ(a->data, b->data);
+  EXPECT_EQ(a->omap, b->omap);
+  EXPECT_EQ(a->xattrs, b->xattrs);
+  EXPECT_EQ(a->version, b->version);
+  EXPECT_EQ(a->version, 3u);  // the read-only transaction bumped nothing
+}
+
 // ---- placement ---------------------------------------------------------------
 
 mon::OsdMap MakeMap(uint32_t num_osds, uint32_t pg_count = 128) {
@@ -486,6 +599,49 @@ TEST(PlacementTest, NoUpOsdsYieldsEmpty) {
     info.up = false;
   }
   EXPECT_TRUE(OsdsForObject("obj", map, 3).empty());
+}
+
+TEST(PlacementTest, TableAgreesWithActingSetForOidOnEveryPg) {
+  mon::OsdMap map = MakeMap(6);
+  mon::PoolLayout ec{mon::PoolLayout::Kind::kErasure, 3};
+  map.service_metadata[mon::PoolKey("ec")] = ec.Format();
+  map.service_metadata[mon::PoolKey("rep")] = mon::PoolLayout::Replicated(2).Format();
+  PlacementTable table;
+  // Per kind of oid, a name for every PG (the PG of the logical object,
+  // for EC shards).
+  std::set<uint32_t> replicated, shards, index, pooled;
+  for (int i = 0; replicated.size() < map.pg_count || shards.size() < map.pg_count ||
+                  index.size() < map.pg_count || pooled.size() < map.pg_count;
+       ++i) {
+    std::string name = "obj-" + std::to_string(i);
+    std::string logical = PoolOid("ec", name);
+    const std::pair<std::string, std::set<uint32_t>*> cases[] = {
+        {name, &replicated},
+        {EcShardOid(logical, static_cast<uint32_t>(i % 4)), &shards},
+        {logical, &index},  // non-shard metadata in an EC pool
+        {PoolOid("rep", name), &pooled},
+    };
+    for (const auto& [oid, seen] : cases) {
+      const std::string& pg_name = seen == &shards ? logical : oid;
+      seen->insert(PgForObject(pg_name, map.pg_count));
+      ASSERT_EQ(table.ActingSet(oid, map, 3), ActingSetForOid(oid, map, 3)) << oid;
+    }
+  }
+}
+
+TEST(PlacementTest, TableStaysStaleUntilCleared) {
+  mon::OsdMap map = MakeMap(5);
+  PlacementTable table;
+  auto before = table.ActingSet("obj-x", map, 3);
+  ASSERT_EQ(before, OsdsForObject("obj-x", map, 3));
+  // An in-place edit at the same epoch: the pure function sees it at once,
+  // the table only after its holder clears it.
+  map.osds[before[0]].up = false;
+  auto after = ActingSetForOid("obj-x", map, 3);
+  ASSERT_NE(after, before);
+  EXPECT_EQ(table.ActingSet("obj-x", map, 3), before);
+  table.Clear();
+  EXPECT_EQ(table.ActingSet("obj-x", map, 3), after);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
 
 #include "src/mon/monitor.h"
 #include "src/osd/osd.h"
@@ -523,6 +525,185 @@ TEST_F(OsdClusterFixture, RestartRejoinsAndServesReadsFromDurableStore) {
     EXPECT_EQ(object->data.ToString(), "durable-bytes");
   }
   EXPECT_EQ(ReadBack("restart.obj").value(), "durable-bytes");
+}
+
+TEST_F(OsdClusterFixture, MixedExecAndPrimitiveTransactionReplicatesExactly) {
+  Start(3, /*replicas=*/2);
+  using cls::ZlogOps;
+  // Class effects interleaved with primitive ops in one transaction: the
+  // primary commits the staged view its single execution built, the
+  // replica replays the expanded ops; both must land on the same object.
+  std::vector<osd::Op> ops(6);
+  ops[0].type = osd::Op::Type::kWriteFull;
+  ops[0].data = Buffer::FromString("head");
+  ops[1] = RadosClient::MakeExecOp("zlog", "write",
+                                   ZlogOps::MakeWrite(0, 3, Buffer::FromString("entry")));
+  ops[2].type = osd::Op::Type::kAppend;
+  ops[2].data = Buffer::FromString("-tail");
+  ops[3] = RadosClient::MakeExecOp("lock", "acquire", Buffer::FromString("alice"));
+  ops[4].type = osd::Op::Type::kOmapSet;
+  ops[4].key = "meta";
+  ops[4].value = "mixed";
+  ops[5].type = osd::Op::Type::kXattrSet;
+  ops[5].key = "owner";
+  ops[5].value = "test";
+  for (int round = 0; round < 2; ++round) {
+    std::optional<Status> result;
+    std::vector<osd::Op> txn = ops;
+    if (round == 1) {
+      // Write-once positions and a held lock: the second round writes the
+      // next position and skips the lock.
+      txn[1] = RadosClient::MakeExecOp("zlog", "write",
+                                       ZlogOps::MakeWrite(0, 4, Buffer::FromString("next")));
+      txn.erase(txn.begin() + 3);
+    }
+    client->rados.Execute("mixed", std::move(txn),
+                          [&](Status s, const osd::OsdOpReply& reply) {
+                            result = s;
+                            for (const osd::OpResult& r : reply.results) {
+                              if (result->ok()) {
+                                result = r.status;
+                              }
+                            }
+                          });
+    Settle(5 * sim::kSecond);
+    ASSERT_TRUE(result.has_value());
+    ASSERT_TRUE(result->ok()) << *result;
+  }
+  auto holders = Holders("mixed");
+  ASSERT_EQ(holders.size(), 2u);
+  const osd::Object* a = osds[holders[0]]->store().Get("mixed").value();
+  const osd::Object* b = osds[holders[1]]->store().Get("mixed").value();
+  EXPECT_EQ(a->data.ToString(), "head-tail");
+  EXPECT_EQ(a->omap.count(ZlogOps::EntryKey(3)), 1u);
+  EXPECT_EQ(a->omap.count(ZlogOps::EntryKey(4)), 1u);
+  EXPECT_EQ(a->omap.at("meta"), "mixed");
+  EXPECT_EQ(a->data, b->data);
+  EXPECT_EQ(a->omap, b->omap);
+  EXPECT_EQ(a->xattrs, b->xattrs);
+  EXPECT_EQ(a->version, b->version);
+  EXPECT_EQ(a->version, 2u);
+}
+
+TEST_F(OsdClusterFixture, NextOpReachesNewPrimaryAfterMarkDown) {
+  Start(5, /*replicas=*/3);
+  ASSERT_TRUE(WriteFull("moved", "v1").ok());
+  Settle(2 * sim::kSecond);
+  auto before = osd::OsdsForObject("moved", client->rados.osd_map(), 3);
+  ASSERT_EQ(before.size(), 3u);
+  // Every other OSD places the object under the current map too: each
+  // refuses a misrouted read as "not primary", and so holds the object's
+  // PG in its placement table.
+  int refused = 0;
+  for (auto& daemon : osds) {
+    if (daemon->name().id == before[0]) {
+      continue;
+    }
+    osd::OsdOpRequest misrouted;
+    misrouted.oid = "moved";
+    misrouted.ops.resize(1);
+    misrouted.ops[0].type = osd::Op::Type::kRead;
+    Buffer payload;
+    Encoder enc(&payload);
+    misrouted.Encode(&enc);
+    client->SendRequest(daemon->name(), osd::kMsgOsdOp, std::move(payload),
+                        [&refused](Status s, const sim::Envelope&) {
+                          refused += s.code() == Code::kUnavailable ? 1 : 0;
+                        });
+  }
+  Settle(1 * sim::kSecond);
+  ASSERT_EQ(refused, 4);
+
+  // Mark the primary down without crashing it: both the client and the
+  // OSDs must re-place the object on the map they install, or the op
+  // would land on (or be refused by) a primary of the old map.
+  mon::Transaction fail;
+  fail.op = mon::Transaction::Op::kOsdFail;
+  fail.daemon_id = before[0];
+  client->rados.mon_client().SubmitTransaction(fail, [](Status) {});
+  Settle(3 * sim::kSecond);
+  auto after = osd::OsdsForObject("moved", client->rados.osd_map(), 3);
+  ASSERT_FALSE(after.empty());
+  ASSERT_NE(after[0], before[0]);
+
+  uint64_t old_served = osds[before[0]]->ops_served();
+  uint64_t new_served = osds[after[0]]->ops_served();
+  auto data = ReadBack("moved");
+  ASSERT_TRUE(data.ok()) << data.status();
+  EXPECT_EQ(data.value(), "v1");
+  EXPECT_EQ(osds[before[0]]->ops_served(), old_served);
+  EXPECT_EQ(osds[after[0]]->ops_served(), new_served + 1);
+}
+
+// Golden encodings of a 4 KiB write_full round trip. Only the buffers'
+// capacity may change with how they are reserved; the bytes are the wire
+// format.
+std::string Pattern4k() {
+  std::string s(4096, '\0');
+  for (size_t i = 0; i < s.size(); ++i) {
+    s[i] = static_cast<char>((i * 7 + 3) & 0xff);
+  }
+  return s;
+}
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+TEST(OsdMessageEncodingTest, WriteFullRequestMatchesGoldenBytes) {
+  osd::OsdOpRequest req;
+  req.oid = "obj.4242";
+  req.ops.resize(1);
+  req.ops[0].type = osd::Op::Type::kWriteFull;
+  req.ops[0].data = Buffer::FromString(Pattern4k());
+  Buffer encoded;
+  Encoder enc(&encoded);
+  req.Encode(&enc);
+  // oid, op count, type/excl/offset/length, data length | data | the four
+  // empty strings (key, value, cls, method).
+  const std::string kHead = "086f626a2e34323432010400000000000000000000000000000000008020";
+  ASSERT_EQ(encoded.size(), kHead.size() / 2 + 4096 + 4);
+  std::string_view bytes = encoded.View();
+  EXPECT_EQ(Hex(bytes.substr(0, kHead.size() / 2)), kHead);
+  EXPECT_EQ(bytes.substr(kHead.size() / 2, 4096), Pattern4k());
+  EXPECT_EQ(Hex(bytes.substr(kHead.size() / 2 + 4096)), "00000000");
+  // Reserved once at its exact size: no spare arena pinned behind a
+  // payload that the receiving store keeps aliasing.
+  EXPECT_LE(encoded.capacity(), encoded.size() + 64);
+
+  Decoder dec(encoded);
+  osd::OsdOpRequest decoded = osd::OsdOpRequest::Decode(&dec);
+  ASSERT_TRUE(dec.Finish().ok());
+  EXPECT_EQ(decoded.oid, req.oid);
+  EXPECT_EQ(decoded.ops[0].data, req.ops[0].data);
+}
+
+TEST(OsdMessageEncodingTest, ReplyMatchesGoldenBytes) {
+  osd::OsdOpReply reply;
+  reply.map_epoch = 17;
+  reply.results.push_back({Status::Ok(), Buffer()});
+  Buffer encoded;
+  Encoder enc(&encoded);
+  reply.Encode(&enc);
+  EXPECT_EQ(Hex(encoded.View()), "110000000000000001000000000000");
+  EXPECT_LE(encoded.capacity(), encoded.size() + 64);
+
+  // The same reply carrying a 4 KiB read result.
+  reply.results[0].out = Buffer::FromString(Pattern4k());
+  Buffer with_data;
+  Encoder data_enc(&with_data);
+  reply.Encode(&data_enc);
+  const std::string kHead = "11000000000000000100000000008020";
+  ASSERT_EQ(with_data.size(), kHead.size() / 2 + 4096);
+  EXPECT_EQ(Hex(with_data.View().substr(0, kHead.size() / 2)), kHead);
+  EXPECT_EQ(with_data.View().substr(kHead.size() / 2), Pattern4k());
+  EXPECT_LE(with_data.capacity(), with_data.size() + 64);
 }
 
 }  // namespace

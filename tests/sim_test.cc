@@ -742,5 +742,87 @@ TEST(SimulatorTest, PoolStressChurnReleasesEverything) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
+// -- per-sender replay window -------------------------------------------------
+
+TEST(ReplayWindowTest, ReplayWithinWindowIsDropped) {
+  ReplayWindow window;
+  EXPECT_TRUE(window.Insert(1, 10));
+  EXPECT_TRUE(window.Insert(1, 11));
+  EXPECT_FALSE(window.Insert(1, 10));
+  EXPECT_FALSE(window.Insert(1, 11));
+  // The oldest id still inside the window is remembered too.
+  EXPECT_TRUE(window.Insert(1, 11 + ReplayWindow::kWindow - 1));
+  EXPECT_FALSE(window.Insert(1, 11));
+}
+
+TEST(ReplayWindowTest, FreshIdsOutOfOrderAreAccepted) {
+  ReplayWindow window;
+  EXPECT_TRUE(window.Insert(1, 100));
+  EXPECT_TRUE(window.Insert(1, 97));
+  EXPECT_TRUE(window.Insert(1, 99));
+  EXPECT_TRUE(window.Insert(1, 98));
+  EXPECT_TRUE(window.Insert(1, 101));
+  for (uint64_t id = 97; id <= 101; ++id) {
+    EXPECT_FALSE(window.Insert(1, id)) << id;
+  }
+}
+
+TEST(ReplayWindowTest, SendersAreIndependent) {
+  ReplayWindow window;
+  EXPECT_TRUE(window.Insert(1, 5));
+  EXPECT_TRUE(window.Insert(2, 5));
+  // Sender 2 racing far ahead does not slide sender 1's window.
+  EXPECT_TRUE(window.Insert(2, 5 + 10 * ReplayWindow::kWindow));
+  EXPECT_FALSE(window.Insert(1, 5));
+  EXPECT_FALSE(window.Insert(2, 5 + 10 * ReplayWindow::kWindow));
+}
+
+TEST(ReplayWindowTest, IdsOlderThanTheWindowAreAccepted) {
+  ReplayWindow window;
+  const uint64_t max = 3 * ReplayWindow::kWindow;
+  EXPECT_TRUE(window.Insert(7, max - ReplayWindow::kWindow));
+  EXPECT_TRUE(window.Insert(7, max));
+  // max - kWindow fell out of the window when max arrived: like a key
+  // evicted from a bounded FIFO, it is accepted again.
+  EXPECT_TRUE(window.Insert(7, max - ReplayWindow::kWindow));
+  EXPECT_TRUE(window.Insert(7, max - ReplayWindow::kWindow - 1));
+  // One id newer is the window's oldest slot, and it was never seen.
+  EXPECT_TRUE(window.Insert(7, max - ReplayWindow::kWindow + 1));
+  EXPECT_FALSE(window.Insert(7, max - ReplayWindow::kWindow + 1));
+}
+
+TEST(ReplayWindowTest, SlidingForwardForgetsTheSlotsItReuses) {
+  ReplayWindow window;
+  EXPECT_TRUE(window.Insert(1, 1));
+  // 1 + kWindow lands in id 1's slot: a new id, not a replay of 1.
+  EXPECT_TRUE(window.Insert(1, 1 + ReplayWindow::kWindow));
+  EXPECT_FALSE(window.Insert(1, 1 + ReplayWindow::kWindow));
+}
+
+TEST(ActorTest, ReplayWindowSurvivesCrashAndRecover) {
+  Simulator simulator;
+  Network network(&simulator);
+  EchoActor server(&simulator, &network, EntityName::Osd(0));
+  Envelope request;
+  request.from = EntityName::Client(3);
+  request.to = EntityName::Osd(0);
+  request.type = 7;
+  request.rpc_id = 42;
+  server.Deliver(request);
+  EXPECT_EQ(server.requests_handled, 1);
+
+  server.Crash();
+  server.Recover();
+  // A network duplicate of the request arriving after the restart.
+  server.Deliver(request);
+  EXPECT_EQ(server.requests_handled, 1);
+  EXPECT_EQ(server.duplicates_dropped(), 1u);
+  // Another sender's request with the same id is not a replay.
+  request.from = EntityName::Client(4);
+  server.Deliver(request);
+  EXPECT_EQ(server.requests_handled, 2);
+  simulator.Run();
+}
+
 }  // namespace
 }  // namespace mal::sim
