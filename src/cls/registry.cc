@@ -1,7 +1,9 @@
 #include "src/cls/registry.h"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
+#include <unordered_set>
 #include <utility>
 
 namespace mal::cls {
@@ -26,6 +28,8 @@ namespace {
 
 using script::Interpreter;
 using script::Value;
+using Args = std::vector<Value>;
+using HostResult = mal::Result<Value>;
 
 mal::Status ArgError(const char* fn, const char* want) {
   return mal::Status::InvalidArgument(std::string(fn) + ": expected " + want);
@@ -48,173 +52,318 @@ mal::Code CodeFromName(const std::string& name) {
   return it == kCodes.end() ? mal::Code::kInternal : it->second;
 }
 
-}  // namespace
+// Where the cls_* bindings find the context of the call in progress. Set for
+// the length of one call; null between calls.
+struct ContextSlot {
+  ClsContext* ctx = nullptr;
+  uint64_t uses = 0;  // cls_* calls that reached a context
+};
 
-void BindContext(Interpreter* interp, ClsContext* ctx) {
-  interp->RegisterHostFunction(
-      "cls_exists", [ctx](Interpreter&, const std::vector<Value>&) -> mal::Result<Value> {
-        return Value(ctx->Exists());
-      });
-  interp->RegisterHostFunction(
-      "cls_read", [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        uint64_t ofs = 0;
-        uint64_t len = 0;
-        if (args.size() > 0 && args[0].is_number()) {
-          ofs = static_cast<uint64_t>(args[0].as_number());
-        }
-        if (args.size() > 1 && args[1].is_number()) {
-          len = static_cast<uint64_t>(args[1].as_number());
-        }
-        auto data = ctx->Read(ofs, len);
-        if (!data.ok()) {
-          return data.status();
-        }
-        return Value(data.value().ToString());
-      });
-  interp->RegisterHostFunction(
-      "cls_size", [ctx](Interpreter&, const std::vector<Value>&) -> mal::Result<Value> {
-        auto size = ctx->Size();
-        if (!size.ok()) {
-          return size.status();
-        }
-        return Value(static_cast<double>(size.value()));
-      });
-  interp->RegisterHostFunction(
-      "cls_create", [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        bool excl = !args.empty() && args[0].Truthy();
-        mal::Status s = ctx->Create(excl);
-        if (!s.ok()) {
-          return s;
-        }
+// Binds ClsContext operations into a script interpreter as cls_* host
+// functions (cls_read, cls_write, cls_omap_get, ...). They reach the context
+// of the call in progress through `slot`, so one binding serves every call.
+void BindContext(Interpreter* interp, ContextSlot* slot) {
+  auto bind = [interp, slot](const char* name, auto op) {
+    interp->RegisterHostFunction(name, [slot, op](Interpreter&, const Args& args) {
+      ++slot->uses;
+      return HostResult(op(*slot->ctx, args));
+    });
+  };
+  bind("cls_exists", [](ClsContext& ctx, const Args&) -> HostResult {
+    return Value(ctx.Exists());
+  });
+  bind("cls_read", [](ClsContext& ctx, const Args& args) -> HostResult {
+    uint64_t ofs = 0;
+    uint64_t len = 0;
+    if (args.size() > 0 && args[0].is_number()) {
+      ofs = static_cast<uint64_t>(args[0].as_number());
+    }
+    if (args.size() > 1 && args[1].is_number()) {
+      len = static_cast<uint64_t>(args[1].as_number());
+    }
+    auto data = ctx.Read(ofs, len);
+    if (!data.ok()) {
+      return data.status();
+    }
+    return Value(data.value().ToString());
+  });
+  bind("cls_size", [](ClsContext& ctx, const Args&) -> HostResult {
+    auto size = ctx.Size();
+    if (!size.ok()) {
+      return size.status();
+    }
+    return Value(static_cast<double>(size.value()));
+  });
+  bind("cls_create", [](ClsContext& ctx, const Args& args) -> HostResult {
+    bool excl = !args.empty() && args[0].Truthy();
+    mal::Status s = ctx.Create(excl);
+    if (!s.ok()) {
+      return s;
+    }
+    return Value::Nil();
+  });
+  bind("cls_write", [](ClsContext& ctx, const Args& args) -> HostResult {
+    if (args.size() < 2 || !args[0].is_number() || !args[1].is_string()) {
+      return ArgError("cls_write", "(offset, data)");
+    }
+    mal::Status s = ctx.Write(static_cast<uint64_t>(args[0].as_number()),
+                              mal::Buffer::FromString(args[1].as_string()));
+    if (!s.ok()) {
+      return s;
+    }
+    return Value::Nil();
+  });
+  bind("cls_write_full", [](ClsContext& ctx, const Args& args) -> HostResult {
+    if (args.empty() || !args[0].is_string()) {
+      return ArgError("cls_write_full", "(data)");
+    }
+    mal::Status s = ctx.WriteFull(mal::Buffer::FromString(args[0].as_string()));
+    if (!s.ok()) {
+      return s;
+    }
+    return Value::Nil();
+  });
+  bind("cls_append", [](ClsContext& ctx, const Args& args) -> HostResult {
+    if (args.empty() || !args[0].is_string()) {
+      return ArgError("cls_append", "(data)");
+    }
+    mal::Status s = ctx.Append(mal::Buffer::FromString(args[0].as_string()));
+    if (!s.ok()) {
+      return s;
+    }
+    return Value::Nil();
+  });
+  bind("cls_omap_get", [](ClsContext& ctx, const Args& args) -> HostResult {
+    if (args.empty() || !args[0].is_string()) {
+      return ArgError("cls_omap_get", "(key)");
+    }
+    auto v = ctx.OmapGet(args[0].as_string());
+    if (!v.ok()) {
+      if (v.status().code() == mal::Code::kNotFound) {
+        return Value::Nil();  // scripts test for nil, like Lua conventions
+      }
+      return v.status();
+    }
+    return Value(v.value());
+  });
+  bind("cls_omap_set", [](ClsContext& ctx, const Args& args) -> HostResult {
+    if (args.size() < 2 || !args[0].is_string() || !args[1].is_string()) {
+      return ArgError("cls_omap_set", "(key, value)");
+    }
+    mal::Status s = ctx.OmapSet(args[0].as_string(), args[1].as_string());
+    if (!s.ok()) {
+      return s;
+    }
+    return Value::Nil();
+  });
+  bind("cls_omap_del", [](ClsContext& ctx, const Args& args) -> HostResult {
+    if (args.empty() || !args[0].is_string()) {
+      return ArgError("cls_omap_del", "(key)");
+    }
+    mal::Status s = ctx.OmapDel(args[0].as_string());
+    if (!s.ok()) {
+      return s;
+    }
+    return Value::Nil();
+  });
+  bind("cls_omap_list", [](ClsContext& ctx, const Args& args) -> HostResult {
+    std::string prefix;
+    if (!args.empty() && args[0].is_string()) {
+      prefix = args[0].as_string();
+    }
+    auto entries = ctx.OmapList(prefix);
+    if (!entries.ok()) {
+      return entries.status();
+    }
+    auto table = script::Table::Make();
+    for (const auto& [k, v] : entries.value()) {
+      table->Set(script::TableKey(k), Value(v));
+    }
+    return Value(table);
+  });
+  bind("cls_xattr_get", [](ClsContext& ctx, const Args& args) -> HostResult {
+    if (args.empty() || !args[0].is_string()) {
+      return ArgError("cls_xattr_get", "(key)");
+    }
+    auto v = ctx.XattrGet(args[0].as_string());
+    if (!v.ok()) {
+      if (v.status().code() == mal::Code::kNotFound) {
         return Value::Nil();
-      });
-  interp->RegisterHostFunction(
-      "cls_write", [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        if (args.size() < 2 || !args[0].is_number() || !args[1].is_string()) {
-          return ArgError("cls_write", "(offset, data)");
-        }
-        mal::Status s = ctx->Write(static_cast<uint64_t>(args[0].as_number()),
-                                   mal::Buffer::FromString(args[1].as_string()));
-        if (!s.ok()) {
-          return s;
-        }
-        return Value::Nil();
-      });
-  interp->RegisterHostFunction(
-      "cls_write_full",
-      [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        if (args.empty() || !args[0].is_string()) {
-          return ArgError("cls_write_full", "(data)");
-        }
-        mal::Status s = ctx->WriteFull(mal::Buffer::FromString(args[0].as_string()));
-        if (!s.ok()) {
-          return s;
-        }
-        return Value::Nil();
-      });
-  interp->RegisterHostFunction(
-      "cls_append", [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        if (args.empty() || !args[0].is_string()) {
-          return ArgError("cls_append", "(data)");
-        }
-        mal::Status s = ctx->Append(mal::Buffer::FromString(args[0].as_string()));
-        if (!s.ok()) {
-          return s;
-        }
-        return Value::Nil();
-      });
-  interp->RegisterHostFunction(
-      "cls_omap_get",
-      [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        if (args.empty() || !args[0].is_string()) {
-          return ArgError("cls_omap_get", "(key)");
-        }
-        auto v = ctx->OmapGet(args[0].as_string());
-        if (!v.ok()) {
-          if (v.status().code() == mal::Code::kNotFound) {
-            return Value::Nil();  // scripts test for nil, like Lua conventions
-          }
-          return v.status();
-        }
-        return Value(v.value());
-      });
-  interp->RegisterHostFunction(
-      "cls_omap_set",
-      [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        if (args.size() < 2 || !args[0].is_string() || !args[1].is_string()) {
-          return ArgError("cls_omap_set", "(key, value)");
-        }
-        mal::Status s = ctx->OmapSet(args[0].as_string(), args[1].as_string());
-        if (!s.ok()) {
-          return s;
-        }
-        return Value::Nil();
-      });
-  interp->RegisterHostFunction(
-      "cls_omap_del",
-      [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        if (args.empty() || !args[0].is_string()) {
-          return ArgError("cls_omap_del", "(key)");
-        }
-        mal::Status s = ctx->OmapDel(args[0].as_string());
-        if (!s.ok()) {
-          return s;
-        }
-        return Value::Nil();
-      });
-  interp->RegisterHostFunction(
-      "cls_omap_list",
-      [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        std::string prefix;
-        if (!args.empty() && args[0].is_string()) {
-          prefix = args[0].as_string();
-        }
-        auto entries = ctx->OmapList(prefix);
-        if (!entries.ok()) {
-          return entries.status();
-        }
-        auto table = script::Table::Make();
-        for (const auto& [k, v] : entries.value()) {
-          table->Set(script::TableKey(k), Value(v));
-        }
-        return Value(table);
-      });
-  interp->RegisterHostFunction(
-      "cls_xattr_get",
-      [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        if (args.empty() || !args[0].is_string()) {
-          return ArgError("cls_xattr_get", "(key)");
-        }
-        auto v = ctx->XattrGet(args[0].as_string());
-        if (!v.ok()) {
-          if (v.status().code() == mal::Code::kNotFound) {
-            return Value::Nil();
-          }
-          return v.status();
-        }
-        return Value(v.value());
-      });
-  interp->RegisterHostFunction(
-      "cls_xattr_set",
-      [ctx](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        if (args.size() < 2 || !args[0].is_string() || !args[1].is_string()) {
-          return ArgError("cls_xattr_set", "(key, value)");
-        }
-        mal::Status s = ctx->XattrSet(args[0].as_string(), args[1].as_string());
-        if (!s.ok()) {
-          return s;
-        }
-        return Value::Nil();
-      });
+      }
+      return v.status();
+    }
+    return Value(v.value());
+  });
+  bind("cls_xattr_set", [](ClsContext& ctx, const Args& args) -> HostResult {
+    if (args.size() < 2 || !args[0].is_string() || !args[1].is_string()) {
+      return ArgError("cls_xattr_set", "(key, value)");
+    }
+    mal::Status s = ctx.XattrSet(args[0].as_string(), args[1].as_string());
+    if (!s.ok()) {
+      return s;
+    }
+    return Value::Nil();
+  });
   // Typed error escape hatch: cls_error("STALE_EPOCH", "msg") aborts the
   // method with that status, which propagates to the client unchanged.
-  interp->RegisterHostFunction(
-      "cls_error", [](Interpreter&, const std::vector<Value>& args) -> mal::Result<Value> {
-        std::string code = args.size() > 0 && args[0].is_string() ? args[0].as_string() : "";
-        std::string msg = args.size() > 1 ? args[1].ToString() : "class error";
-        return mal::Status(CodeFromName(code), msg);
-      });
+  bind("cls_error", [](ClsContext&, const Args& args) -> HostResult {
+    std::string code = args.size() > 0 && args[0].is_string() ? args[0].as_string() : "";
+    std::string msg = args.size() > 1 ? args[1].ToString() : "class error";
+    return mal::Status(CodeFromName(code), msg);
+  });
 }
+
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_number() && b.is_number()) {
+    // Bitwise, so NaN matches itself and -0 differs from 0.
+    double x = a.as_number();
+    double y = b.as_number();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return a.Equals(b);
+}
+
+// Walks every value reachable from a runtime's globals in a fixed order,
+// either recording it or checking it against a recording. Each container is
+// entered once; the recording marks first visits, so a check that has matched
+// so far knows which containers it has seen without a set of its own.
+class StateWalk {
+ public:
+  struct Atom {
+    Value value;          // tables, closures, host functions: by identity
+    uint64_t extent = 0;  // tables: shape id; environments: number of names
+    bool first = false;   // first visit of the container this atom names
+  };
+
+  static std::vector<Atom> Record(const script::Environment& globals) {
+    std::vector<Atom> atoms;
+    StateWalk walk(&atoms, nullptr);
+    walk.Env(globals);
+    return atoms;
+  }
+
+  static bool Matches(const std::vector<Atom>& atoms, const script::Environment& globals) {
+    StateWalk walk(nullptr, &atoms);
+    return walk.Env(globals) && walk.pos_ == atoms.size();
+  }
+
+ private:
+  StateWalk(std::vector<Atom>* record, const std::vector<Atom>* expect)
+      : record_(record), expect_(expect) {}
+
+  bool Note(const Value& value, uint64_t extent) {
+    if (record_ != nullptr) {
+      record_->push_back({value, extent, false});
+      return true;
+    }
+    if (pos_ == expect_->size()) {
+      return false;
+    }
+    const Atom& atom = (*expect_)[pos_++];
+    return atom.extent == extent && SameValue(atom.value, value);
+  }
+
+  // Called right after the Note of the container at `p`.
+  bool FirstVisit(const void* p) {
+    if (record_ == nullptr) {
+      return (*expect_)[pos_ - 1].first;
+    }
+    record_->back().first = seen_.insert(p).second;
+    return record_->back().first;
+  }
+
+  // A scope and its parents. Names are never removed from a scope, so an
+  // unchanged count means unchanged names.
+  bool Env(const script::Environment& env) {
+    for (const script::Environment* e = &env; e != nullptr; e = e->parent().get()) {
+      if (!Note(Value(), e->local_vars().size())) {
+        return false;
+      }
+      if (!FirstVisit(e)) {
+        return true;
+      }
+      for (const auto& [name, value] : e->local_vars()) {
+        if (!Visit(value)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  // Shape ids are never reused and change on every key insert or erase, so
+  // an unchanged shape means unchanged keys.
+  bool Visit(const Value& value) {
+    if (!Note(value, value.is_table() ? value.as_table()->shape_id() : 0)) {
+      return false;
+    }
+    if (value.is_table()) {
+      if (!FirstVisit(value.as_table().get())) {
+        return true;
+      }
+      for (const auto& [key, entry] : value.as_table()->entries()) {
+        if (!Visit(entry)) {
+          return false;
+        }
+      }
+    } else if (value.is_closure()) {
+      const script::Closure& closure = *value.as_closure();
+      if (!FirstVisit(&closure)) {
+        return true;
+      }
+      if (closure.env() != nullptr && !Env(*closure.env())) {
+        return false;
+      }
+      for (const std::shared_ptr<Value>& cell : closure.upvals()) {
+        if (!Visit(*cell)) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+
+  std::vector<Atom>* record_;
+  const std::vector<Atom>* expect_;
+  size_t pos_ = 0;
+  std::unordered_set<const void*> seen_;
+};
+
+}  // namespace
+
+// A warm runtime: the interpreter with the stdlib, the cls_* bindings and the
+// class chunk already run, plus a record of the state that left it in.
+struct ClassRegistry::Runtime {
+  Runtime() { BindContext(&interp, &slot); }
+  Runtime(const Runtime&) = delete;  // the bindings hold &slot
+  Runtime& operator=(const Runtime&) = delete;
+
+  // Records the state after the chunk ran. A chunk whose top level touched
+  // the object depends on the call that built it, so its runtime serves that
+  // call only.
+  void Seal() {
+    reusable = slot.uses == 0;
+    pristine = StateWalk::Record(*interp.globals());
+    live_closures = interp.LiveClosures();
+  }
+
+  // True while a later call could not tell this runtime from a new one. A
+  // closure alive beyond those at build time that the globals do not reach is
+  // held by a reference cycle only the interpreter's teardown frees.
+  bool Pristine() {
+    return reusable && interp.LiveClosures() == live_closures &&
+           StateWalk::Matches(pristine, *interp.globals());
+  }
+
+  ContextSlot slot;
+  Interpreter interp;
+  bool reusable = false;
+  std::vector<StateWalk::Atom> pristine;
+  size_t live_closures = 0;
+};
+
+ClassRegistry::ClassRegistry() = default;
+ClassRegistry::~ClassRegistry() = default;
 
 void ClassRegistry::RegisterNative(const std::string& cls, const std::string& method,
                                    Category category, NativeMethod fn) {
@@ -232,8 +381,10 @@ mal::Status ClassRegistry::InstallScript(const std::string& cls, const std::stri
   osd::TxnObject staged(nullptr);
   std::vector<osd::Op> effects;
   ClsContext scratch_ctx("scratch", &staged, &effects);
+  ContextSlot slot;
+  slot.ctx = &scratch_ctx;
   Interpreter scratch;
-  BindContext(&scratch, &scratch_ctx);
+  BindContext(&scratch, &slot);
   std::vector<std::string> before = scratch.globals()->LocalNames();
   mal::Status s = scratch.Run(*chunk.value());
   if (!s.ok()) {
@@ -256,9 +407,10 @@ mal::Status ClassRegistry::InstallScript(const std::string& cls, const std::stri
 
 void ClassRegistry::RemoveScript(const std::string& cls) { scripts_.erase(cls); }
 
-std::string ClassRegistry::ScriptVersion(const std::string& cls) const {
+const std::string& ClassRegistry::ScriptVersion(const std::string& cls) const {
+  static const std::string kAbsent;
   auto it = scripts_.find(cls);
-  return it == scripts_.end() ? "" : it->second.version;
+  return it == scripts_.end() ? kAbsent : it->second.version;
 }
 
 bool ClassRegistry::HasMethod(const std::string& cls, const std::string& method) const {
@@ -276,7 +428,7 @@ bool ClassRegistry::HasMethod(const std::string& cls, const std::string& method)
 mal::Result<mal::Buffer> ClassRegistry::Execute(const std::string& cls,
                                                 const std::string& method, ClsContext& ctx,
                                                 const mal::Buffer& input, uint64_t budget,
-                                                script::EngineStats* script_stats) const {
+                                                script::EngineStats* script_stats) {
   if (auto it = native_.find({cls, method}); it != native_.end()) {
     return it->second.second(ctx, input);
   }
@@ -284,15 +436,26 @@ mal::Result<mal::Buffer> ClassRegistry::Execute(const std::string& cls,
   if (it == scripts_.end()) {
     return mal::Status::NotFound("no object class '" + cls + "'");
   }
-  Interpreter interp;
-  interp.set_instruction_budget(budget);
-  BindContext(&interp, &ctx);
+  ScriptClass& sc = it->second;
+  script::EngineStats before;
+  const bool fresh = sc.runtime == nullptr;
+  if (fresh) {
+    sc.runtime = std::make_unique<Runtime>();
+  } else {
+    before = sc.runtime->interp.stats();
+  }
+  Runtime& rt = *sc.runtime;
+  rt.slot.ctx = &ctx;
+  rt.interp.set_instruction_budget(budget);
   auto out = [&]() -> mal::Result<mal::Buffer> {
-    mal::Status s = interp.Run(*it->second.chunk);
-    if (!s.ok()) {
-      return s;
+    if (fresh) {
+      mal::Status s = rt.interp.Run(*sc.chunk);
+      if (!s.ok()) {
+        return s;
+      }
+      rt.Seal();
     }
-    auto result = interp.CallGlobal(method, {Value(input.ToString())});
+    auto result = rt.interp.CallGlobal(method, {Value(input.ToString())});
     if (!result.ok()) {
       if (result.status().code() == mal::Code::kNotFound) {
         return mal::Status::NotFound("no method '" + method + "' in class '" + cls + "'");
@@ -305,15 +468,14 @@ mal::Result<mal::Buffer> ClassRegistry::Execute(const std::string& cls,
     }
     return mal::Buffer::FromString(value.ToString());
   }();
+  rt.slot.ctx = nullptr;
+  rt.interp.print_output().clear();
   if (script_stats != nullptr) {
     // Accumulated even on error: aborted scripts still consumed budget.
-    const script::EngineStats& st = interp.stats();
-    script_stats->instructions += st.instructions;
-    script_stats->vm_runs += st.vm_runs;
-    script_stats->oracle_runs += st.oracle_runs;
-    script_stats->ic_hits += st.ic_hits;
-    script_stats->ic_misses += st.ic_misses;
-    script_stats->print_dropped += st.print_dropped;
+    script_stats->AddDelta(rt.interp.stats(), before);
+  }
+  if (!out.ok() || !rt.Pristine()) {
+    sc.runtime.reset();  // the next call builds a new one
   }
   return out;
 }

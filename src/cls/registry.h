@@ -40,6 +40,9 @@ struct MethodInfo {
 
 class ClassRegistry {
  public:
+  ClassRegistry();
+  ~ClassRegistry();
+
   // -- native classes ---------------------------------------------------------
   void RegisterNative(const std::string& cls, const std::string& method, Category category,
                       NativeMethod fn);
@@ -52,17 +55,20 @@ class ClassRegistry {
                             const std::string& source, Category category = Category::kOther);
   void RemoveScript(const std::string& cls);
   // Installed version of a script class ("" if absent).
-  std::string ScriptVersion(const std::string& cls) const;
+  const std::string& ScriptVersion(const std::string& cls) const;
 
   // -- execution ---------------------------------------------------------------
   // Runs `cls.method` with the given context and input. Script methods are
-  // sandboxed by `budget` interpreter instructions. When `script_stats` is
-  // non-null and the method is a script, the per-call engine counters are
-  // accumulated into it (native methods never touch it).
+  // sandboxed by `budget` interpreter instructions and run on the class's
+  // warm runtime (docs/MALSCRIPT.md "Sandboxing"): built by the first call,
+  // reused while no call changes what a later call could observe, dropped
+  // otherwise. When `script_stats` is non-null and the method is a script,
+  // the call's engine counters are accumulated into it (native methods never
+  // touch it).
   mal::Result<mal::Buffer> Execute(const std::string& cls, const std::string& method,
                                    ClsContext& ctx, const mal::Buffer& input,
                                    uint64_t budget = 1'000'000,
-                                   script::EngineStats* script_stats = nullptr) const;
+                                   script::EngineStats* script_stats = nullptr);
 
   bool HasMethod(const std::string& cls, const std::string& method) const;
 
@@ -72,21 +78,20 @@ class ClassRegistry {
   std::map<Category, size_t> MethodCountByCategory() const;
 
  private:
+  struct Runtime;
+
   struct ScriptClass {
     std::string version;
     std::string source;
     Category category = Category::kOther;
     std::shared_ptr<script::Block> chunk;
     std::vector<std::string> methods;  // global function names in the chunk
+    std::unique_ptr<Runtime> runtime;  // null until a call builds it
   };
 
   std::map<std::pair<std::string, std::string>, std::pair<Category, NativeMethod>> native_;
   std::map<std::string, ScriptClass> scripts_;
 };
-
-// Binds ClsContext operations into a script interpreter as cls_* host
-// functions (cls_read, cls_write, cls_omap_get, ...). Exposed for tests.
-void BindContext(script::Interpreter* interp, ClsContext* ctx);
 
 }  // namespace mal::cls
 

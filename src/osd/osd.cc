@@ -238,7 +238,7 @@ sim::Time Osd::OpCost(const OsdOpRequest& req) const {
   for (const Op& op : req.ops) {
     cost += static_cast<sim::Time>(config_.per_byte_cpu_ns *
                                    static_cast<double>(op.data.size()));
-    if (op.type == Op::Type::kExec && registry_.ScriptVersion(op.cls_name) != "") {
+    if (op.type == Op::Type::kExec && !registry_.ScriptVersion(op.cls_name).empty()) {
       cost += config_.script_exec_cost;
     }
   }
@@ -280,9 +280,9 @@ mal::Status Osd::ExpandTransaction(const OsdOpRequest& req, TxnObject* staged,
       // attributable to it: per-byte decode plus script surcharge).
       perf_.Observe("osd.cls." + op.cls_name + "." + op.method + ".exec_us",
                     (config_.per_byte_cpu_ns * static_cast<double>(op.data.size()) +
-                     (registry_.ScriptVersion(op.cls_name) != ""
-                          ? static_cast<double>(config_.script_exec_cost)
-                          : 0.0)) /
+                     (registry_.ScriptVersion(op.cls_name).empty()
+                          ? 0.0
+                          : static_cast<double>(config_.script_exec_cost))) /
                         1e3);
       if (!out.ok()) {
         result.status = out.status();

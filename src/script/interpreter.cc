@@ -1,5 +1,6 @@
 #include "src/script/interpreter.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -545,6 +546,7 @@ class Evaluator {
       }
       case Expr::Kind::kFunction: {
         auto closure = std::make_shared<Closure>(expr.params, expr.is_vararg, expr.body, env);
+        interp_->TrackClosure(closure);
         return Value(std::move(closure));
       }
       case Expr::Kind::kTableCtor: {
@@ -711,7 +713,39 @@ Interpreter::Interpreter() : globals_(std::make_shared<Environment>()) {
   InstallStdlib(this);
 }
 
-Interpreter::~Interpreter() = default;
+Interpreter::~Interpreter() {
+  vm_.reset();
+  for (const std::weak_ptr<Closure>& weak : closures_) {
+    // Locked for the duration: clearing a scope or cell can free others.
+    if (std::shared_ptr<Closure> closure = weak.lock()) {
+      for (const std::shared_ptr<Value>& cell : closure->upvals()) {
+        *cell = Value::Nil();
+      }
+      for (Environment* env = closure->env().get(); env != nullptr;
+           env = env->parent().get()) {
+        env->Clear();
+      }
+    }
+  }
+  globals_->Clear();
+}
+
+void Interpreter::TrackClosure(const std::shared_ptr<Closure>& closure) {
+  auto dead = [](const std::weak_ptr<Closure>& weak) { return weak.expired(); };
+  if (closures_.size() >= closures_compact_at_) {
+    closures_.erase(std::remove_if(closures_.begin(), closures_.end(), dead), closures_.end());
+    closures_compact_at_ = std::max<size_t>(64, 2 * closures_.size());
+  }
+  closures_.push_back(closure);
+}
+
+size_t Interpreter::LiveClosures() const {
+  size_t live = 0;
+  for (const std::weak_ptr<Closure>& weak : closures_) {
+    live += weak.expired() ? 0 : 1;
+  }
+  return live;
+}
 
 void Interpreter::RegisterHostFunction(const std::string& name, HostFunction fn) {
   globals_->Define(name, Value::Host(name, std::move(fn)));

@@ -52,6 +52,8 @@ class Environment : public std::enable_shared_from_this<Environment> {
 
   bool Has(const std::string& name) const;
 
+  const std::shared_ptr<Environment>& parent() const { return parent_; }
+
   // Names defined directly in this scope (not parents). Used to discover
   // the methods a script class chunk defines.
   std::vector<std::string> LocalNames() const;
@@ -62,6 +64,10 @@ class Environment : public std::enable_shared_from_this<Environment> {
   // environment's lifetime.
   Value* FindLocalSlot(const std::string& name);
   Value* DefineSlot(const std::string& name);
+
+  // Drops every binding in this scope (interpreter teardown breaks reference
+  // cycles through this).
+  void Clear() { vars_.clear(); }
 
  private:
   std::shared_ptr<Environment> parent_;
@@ -132,6 +138,17 @@ struct EngineStats {
   uint64_t ic_hits = 0;        // inline-cache hits (field + global sites)
   uint64_t ic_misses = 0;      // inline-cache misses
   uint64_t print_dropped = 0;  // print() lines dropped by the output cap
+
+  // Adds what `now` counted beyond `before`, two readings of one
+  // interpreter's cumulative stats.
+  void AddDelta(const EngineStats& now, const EngineStats& before) {
+    instructions += now.instructions - before.instructions;
+    vm_runs += now.vm_runs - before.vm_runs;
+    oracle_runs += now.oracle_runs - before.oracle_runs;
+    ic_hits += now.ic_hits - before.ic_hits;
+    ic_misses += now.ic_misses - before.ic_misses;
+    print_dropped += now.print_dropped - before.print_dropped;
+  }
 };
 
 class Interpreter {
@@ -143,6 +160,10 @@ class Interpreter {
   enum class Engine { kAuto, kVm, kOracle };
 
   Interpreter();
+  // Breaks the reference cycles among the values this interpreter made: a
+  // closure and the environment or upvalue cell that holds it, and top-level
+  // functions in the globals they capture. Closures that outlive it lose
+  // their captured variables.
   ~Interpreter();
 
   // Hard cap on budget units consumed per top-level Run/Call (AST nodes on
@@ -155,6 +176,10 @@ class Interpreter {
 
   // Cumulative counters across this interpreter's lifetime.
   const EngineStats& stats() const { return stats_; }
+
+  // Closures this interpreter made that can hold a reference cycle (those
+  // with a captured environment or upvalue cells) and are still alive.
+  size_t LiveClosures() const;
 
   std::shared_ptr<Environment> globals() { return globals_; }
 
@@ -198,6 +223,10 @@ class Interpreter {
   Result<Value> CallAstClosureFromVm(const Value& callee, const std::vector<Value>& args,
                                      int line);
 
+  // Records a new closure that captures an environment or upvalue cells, so
+  // the destructor can break the cycles it may be part of.
+  void TrackClosure(const std::shared_ptr<Closure>& closure);
+
   std::shared_ptr<Environment> globals_;
   uint64_t instruction_budget_ = 10'000'000;
   uint64_t instructions_executed_ = 0;
@@ -207,6 +236,9 @@ class Interpreter {
   Engine engine_ = Engine::kAuto;
   EngineStats stats_;
   std::shared_ptr<Vm> vm_;
+  // Weak, so tracking never keeps a closure alive; compacted when it doubles.
+  std::vector<std::weak_ptr<Closure>> closures_;
+  size_t closures_compact_at_ = 64;
 };
 
 }  // namespace mal::script

@@ -703,8 +703,12 @@ Status Vm::Execute(const std::shared_ptr<const CompiledChunk>& chunk_sp,
           ups.push_back(ud.src == UpvalDesc::Src::kParentCell ? cells[ud.index]
                                                               : closure->upvals()[ud.index]);
         }
-        regs[in->a] = Value(std::make_shared<Closure>(
-            csp->pin, static_cast<uint32_t>(in->d), std::move(ups)));
+        auto made = std::make_shared<Closure>(csp->pin, static_cast<uint32_t>(in->d),
+                                              std::move(ups));
+        if (!made->upvals().empty()) {
+          interp_->TrackClosure(made);
+        }
+        regs[in->a] = Value(std::move(made));
         VM_NEXT();
       }
       VM_CASE(kVarargTab): {

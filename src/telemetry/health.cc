@@ -306,12 +306,7 @@ script::EngineStats HealthEngine::ConsumeScriptStats() {
   script::EngineStats out;
   for (const auto& rule : rules_) {
     const script::EngineStats& st = rule->interp->stats();
-    out.instructions += st.instructions - rule->exported.instructions;
-    out.vm_runs += st.vm_runs - rule->exported.vm_runs;
-    out.oracle_runs += st.oracle_runs - rule->exported.oracle_runs;
-    out.ic_hits += st.ic_hits - rule->exported.ic_hits;
-    out.ic_misses += st.ic_misses - rule->exported.ic_misses;
-    out.print_dropped += st.print_dropped - rule->exported.print_dropped;
+    out.AddDelta(st, rule->exported);
     rule->exported = st;
   }
   return out;

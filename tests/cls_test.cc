@@ -3,6 +3,9 @@
 // deep dive on cls_zlog (the CORFU storage interface).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+
 #include "src/cls/builtin.h"
 #include "src/cls/registry.h"
 
@@ -389,6 +392,181 @@ end
             "hello");
   EXPECT_EQ(h.Call("szlog", "sread", mal::Buffer::FromString("1")).status().code(),
             mal::Code::kNotWritten);
+}
+
+// ---- per-call isolation ---------------------------------------------------------
+//
+// Script methods run on a warm runtime that is reused across calls, so each
+// case makes one call that changes (or tries to change) runtime state, then
+// checks that the next call sees a runtime as the chunk left it.
+
+constexpr char kIsolationScript[] = R"(
+local hits = 0
+held = {}
+
+local function make_counter()
+  local n = 0
+  return function() n = n + 1 return n end
+end
+counter = make_counter()
+
+function inspect(input)
+  return tostring(leaked) .. "|" .. type(tostring) .. "|" .. type(string.len) .. "|" ..
+         tostring(hits) .. "|" .. tostring(#held)
+end
+
+function add_global(input) leaked = input return "ok" end
+function clobber_stdlib(input) tostring = nil string.len = nil return "ok" end
+function bump_upvalue(input) hits = hits + 1 return hits end
+function insert_held(input) held[#held + 1] = input return #held end
+function tick(input) return counter() end
+function store(input) cls_create(false) cls_write_full(input) return "ok" end
+
+function recurse(input)
+  local function down(n) if n == 0 then return "done" end return down(n - 1) end
+  return down(3)
+end
+
+function shout(input)
+  for i = 1, 10001 do print(i) end
+  return "ok"
+end
+
+function fail_budget(input)
+  leaked = "budget"
+  cls_create(false)
+  cls_write_full("dirty")
+  while true do end
+end
+
+function fail_error(input)
+  leaked = "error"
+  cls_create(false)
+  cls_write_full("dirty")
+  cls_error("ABORTED", "changed my mind")
+end
+)";
+
+constexpr char kPristine[] = "nil|function|function|0|0";
+
+// Pins the engine through MAL_SCRIPT_ORACLE for its lifetime, then restores
+// the variable (also when a check fails), so these cases pick their engine
+// whatever the environment says.
+class ScopedOracle {
+ public:
+  explicit ScopedOracle(bool on) {
+    if (const char* value = std::getenv("MAL_SCRIPT_ORACLE")) {
+      saved_ = value;
+    }
+    setenv("MAL_SCRIPT_ORACLE", on ? "1" : "0", 1);
+  }
+  ~ScopedOracle() {
+    if (saved_.has_value()) {
+      setenv("MAL_SCRIPT_ORACLE", saved_->c_str(), 1);
+    } else {
+      unsetenv("MAL_SCRIPT_ORACLE");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+std::string CallOk(ClsHarness& h, const std::string& method, const std::string& input = "") {
+  auto out = h.Call("iso", method, mal::Buffer::FromString(input));
+  EXPECT_TRUE(out.ok()) << method << ": " << out.status();
+  return out.ok() ? out.value().ToString() : "";
+}
+
+// Runs one call straight through the registry and returns its engine stats.
+script::EngineStats CallStats(ClsHarness& h, const std::string& method) {
+  osd::TxnObject staged(nullptr);
+  std::vector<osd::Op> effects;
+  ClsContext ctx("test-obj", &staged, &effects);
+  script::EngineStats stats;
+  auto out = h.registry.Execute("iso", method, ctx, mal::Buffer(), 1'000'000, &stats);
+  EXPECT_TRUE(out.ok()) << method << ": " << out.status();
+  return stats;
+}
+
+void ExpectIsolation(bool oracle) {
+  ScopedOracle scoped(oracle);
+  ClsHarness h;  // built while the variable is set
+  ASSERT_TRUE(h.registry.InstallScript("iso", "v1", kIsolationScript).ok());
+  EXPECT_EQ(CallOk(h, "inspect"), kPristine);
+
+  EXPECT_EQ(CallOk(h, "add_global", "x"), "ok");
+  EXPECT_EQ(CallOk(h, "inspect"), kPristine) << "new global survived";
+
+  EXPECT_EQ(CallOk(h, "clobber_stdlib"), "ok");
+  EXPECT_EQ(CallOk(h, "inspect"), kPristine) << "stdlib overwrite survived";
+
+  EXPECT_EQ(CallOk(h, "bump_upvalue"), "1");
+  EXPECT_EQ(CallOk(h, "bump_upvalue"), "1") << "captured top-level local survived";
+  EXPECT_EQ(CallOk(h, "inspect"), kPristine);
+
+  EXPECT_EQ(CallOk(h, "tick"), "1");
+  EXPECT_EQ(CallOk(h, "tick"), "1") << "captured function local survived";
+
+  EXPECT_EQ(CallOk(h, "insert_held", "a"), "1");
+  EXPECT_EQ(CallOk(h, "insert_held", "b"), "1") << "table insert survived";
+  EXPECT_EQ(CallOk(h, "inspect"), kPristine);
+
+  // Every call gets an empty print buffer: one line over the cap is dropped
+  // per call, not the whole second call.
+  for (int call = 0; call < 2; ++call) {
+    EXPECT_EQ(CallStats(h, "shout").print_dropped, 1u) << "call " << call;
+  }
+  EXPECT_EQ(CallOk(h, "inspect"), kPristine);
+
+  // A failed call leaves neither runtime state nor object changes behind.
+  EXPECT_EQ(CallOk(h, "store", "orig"), "ok");
+  ASSERT_TRUE(h.object.has_value());
+  const uint64_t version = h.object->version;
+  EXPECT_EQ(h.Call("iso", "fail_budget", mal::Buffer()).status().code(),
+            mal::Code::kAborted);
+  EXPECT_EQ(h.object->data.ToString(), "orig");
+  EXPECT_EQ(h.object->version, version);
+  EXPECT_EQ(CallOk(h, "inspect"), kPristine) << "global set before budget abort survived";
+  EXPECT_EQ(h.Call("iso", "fail_error", mal::Buffer()).status().code(), mal::Code::kAborted);
+  EXPECT_EQ(h.object->data.ToString(), "orig");
+  EXPECT_EQ(h.object->version, version);
+  EXPECT_EQ(CallOk(h, "inspect"), kPristine) << "global set before cls_error survived";
+}
+
+TEST(ScriptIsolationTest, EachCallSeesPristineState) { ExpectIsolation(/*oracle=*/false); }
+
+TEST(ScriptIsolationTest, EachCallSeesPristineStateOnTreeWalker) {
+  ExpectIsolation(/*oracle=*/true);
+}
+
+TEST(ScriptIsolationTest, CleanCallsReuseOneRuntime) {
+  for (bool oracle : {false, true}) {
+    ScopedOracle scoped(oracle);
+    ClsHarness h;
+    ASSERT_TRUE(h.registry.InstallScript("iso", "v1", kIsolationScript).ok());
+    for (int call = 0; call < 3; ++call) {
+      script::EngineStats stats = CallStats(h, "inspect");
+      // The first call also runs the chunk; later ones only the method.
+      EXPECT_EQ(stats.vm_runs + stats.oracle_runs, call == 0 ? 2u : 1u)
+          << "oracle " << oracle << " call " << call;
+      EXPECT_EQ(stats.oracle_runs != 0, oracle);
+    }
+    // A recursive local function is a reference cycle that outlives the
+    // call; the runtime holding it is dropped (freeing it) and rebuilt.
+    script::EngineStats cycle = CallStats(h, "recurse");
+    EXPECT_EQ(cycle.vm_runs + cycle.oracle_runs, 1u) << "oracle " << oracle;
+    script::EngineStats after = CallStats(h, "inspect");
+    EXPECT_EQ(after.vm_runs + after.oracle_runs, 2u) << "oracle " << oracle;
+  }
+}
+
+TEST(ScriptIsolationTest, RemovedClassIsNotFound) {
+  ClsHarness h;
+  ASSERT_TRUE(h.registry.InstallScript("iso", "v1", kIsolationScript).ok());
+  EXPECT_EQ(CallOk(h, "inspect"), kPristine);
+  h.registry.RemoveScript("iso");
+  EXPECT_EQ(h.Call("iso", "inspect", mal::Buffer()).status().code(), mal::Code::kNotFound);
 }
 
 // ---- census (Fig 2 / Table 1 machinery) -----------------------------------------
