@@ -160,14 +160,6 @@ class Encoder {
     out_->Append(b);
   }
 
-  template <typename T>
-  void PutVector(const std::vector<T>& v, void (Encoder::*put)(T)) {
-    PutVarU64(v.size());
-    for (const T& e : v) {
-      (this->*put)(e);
-    }
-  }
-
  private:
   template <typename T>
   void PutFixed(T v) {

@@ -5,53 +5,6 @@
 
 namespace mal {
 
-void BoundedHistogram::Observe(double v) {
-  min_ = observed_ == 0 ? v : std::min(min_, v);
-  max_ = observed_ == 0 ? v : std::max(max_, v);
-  ++observed_;
-  if ((observed_ - 1) % stride_ != 0) {
-    return;
-  }
-  if (samples_.size() >= cap_) {
-    // Drop every other retained sample and keep only every (2*stride)-th
-    // observation from here on. Deterministic, and the survivors remain an
-    // evenly-spaced subsequence of the observation stream.
-    std::vector<double> kept;
-    kept.reserve(samples_.size() / 2 + 1);
-    for (size_t i = 0; i < samples_.size(); i += 2) {
-      kept.push_back(samples_[i]);
-    }
-    samples_ = std::move(kept);
-    stride_ *= 2;
-    if ((observed_ - 1) % stride_ != 0) {
-      return;
-    }
-  }
-  samples_.push_back(v);
-}
-
-void BoundedHistogram::MergeSamples(const std::vector<double>& samples,
-                                    uint64_t observed) {
-  bool empty_before = observed_ == 0;
-  for (double v : samples) {
-    min_ = empty_before ? v : std::min(min_, v);
-    max_ = empty_before ? v : std::max(max_, v);
-    empty_before = false;
-  }
-  observed_ += observed;
-  samples_.insert(samples_.end(), samples.begin(), samples.end());
-  // The merged buffer may exceed cap_; that is fine for monitor-side
-  // aggregates, which are rebuilt from scratch on every dump.
-}
-
-Histogram BoundedHistogram::ToHistogram() const {
-  Histogram h;
-  for (double v : samples_) {
-    h.Add(v);
-  }
-  return h;
-}
-
 PerfSnapshot PerfRegistry::Snapshot(const std::string& entity,
                                     uint64_t time_ns) const {
   PerfSnapshot snap;
@@ -59,10 +12,7 @@ PerfSnapshot PerfRegistry::Snapshot(const std::string& entity,
   snap.time_ns = time_ns;
   snap.counters = counters_;
   snap.gauges = gauges_;
-  for (const auto& [name, hist] : histograms_) {
-    snap.histograms[name] =
-        PerfSnapshot::Hist{hist.samples(), hist.observed(), hist.min(), hist.max()};
-  }
+  snap.histograms = histograms_;
   return snap;
 }
 
@@ -83,13 +33,7 @@ void PerfSnapshot::Encode(Buffer* out) const {
   enc.PutVarU64(histograms.size());
   for (const auto& [name, hist] : histograms) {
     enc.PutString(name);
-    enc.PutU64(hist.observed);
-    enc.PutF64(hist.min);
-    enc.PutF64(hist.max);
-    enc.PutVarU64(hist.samples.size());
-    for (double v : hist.samples) {
-      enc.PutF64(v);
-    }
+    hist.Encode(&enc);
   }
 }
 
@@ -110,16 +54,7 @@ Status PerfSnapshot::Decode(const Buffer& in, PerfSnapshot* out) {
   n = dec.GetVarU64();
   for (uint64_t i = 0; i < n && dec.ok(); ++i) {
     std::string name = dec.GetString();
-    Hist hist;
-    hist.observed = dec.GetU64();
-    hist.min = dec.GetF64();
-    hist.max = dec.GetF64();
-    uint64_t samples = dec.GetVarU64();
-    hist.samples.reserve(dec.ok() ? samples : 0);
-    for (uint64_t j = 0; j < samples && dec.ok(); ++j) {
-      hist.samples.push_back(dec.GetF64());
-    }
-    out->histograms[name] = std::move(hist);
+    out->histograms[name] = Histogram::Decode(&dec);
   }
   return dec.Finish();
 }
@@ -133,14 +68,7 @@ PerfSnapshot AggregateSnapshots(const std::vector<PerfSnapshot>& snapshots) {
       out.counters[name] += value;
     }
     for (const auto& [name, hist] : snap.histograms) {
-      PerfSnapshot::Hist& agg = out.histograms[name];
-      if (hist.observed > 0) {
-        agg.min = agg.observed == 0 ? hist.min : std::min(agg.min, hist.min);
-        agg.max = agg.observed == 0 ? hist.max : std::max(agg.max, hist.max);
-      }
-      agg.observed += hist.observed;
-      agg.samples.insert(agg.samples.end(), hist.samples.begin(),
-                         hist.samples.end());
+      out.histograms[name].Merge(hist);
     }
   }
   return out;
@@ -202,19 +130,15 @@ void AppendSnapshotJson(std::ostringstream* out, const PerfSnapshot& snap,
   *out << pad2 << "\"histograms\": {";
   first = true;
   for (const auto& [name, hist] : snap.histograms) {
-    Histogram h;
-    for (double v : hist.samples) {
-      h.Add(v);
-    }
     *out << (first ? "" : ",") << "\n" << pad2 << "  ";
     AppendJsonString(out, name);
-    *out << ": {\"count\": " << hist.observed
-         << ", \"mean\": " << FormatDouble(h.mean(), 3)
-         << ", \"p50\": " << FormatDouble(h.Quantile(0.5), 3)
-         << ", \"p90\": " << FormatDouble(h.Quantile(0.9), 3)
-         << ", \"p99\": " << FormatDouble(h.Quantile(0.99), 3)
-         << ", \"min\": " << FormatDouble(hist.min, 3)
-         << ", \"max\": " << FormatDouble(hist.max, 3) << "}";
+    *out << ": {\"count\": " << hist.count()
+         << ", \"mean\": " << FormatDouble(hist.mean(), 3)
+         << ", \"p50\": " << FormatDouble(hist.Quantile(0.5), 3)
+         << ", \"p90\": " << FormatDouble(hist.Quantile(0.9), 3)
+         << ", \"p99\": " << FormatDouble(hist.Quantile(0.99), 3)
+         << ", \"min\": " << FormatDouble(hist.min(), 3)
+         << ", \"max\": " << FormatDouble(hist.max(), 3) << "}";
     first = false;
   }
   *out << (first ? "" : "\n" + pad2) << "}\n";
@@ -230,6 +154,9 @@ std::string PerfDumpToJson(const std::vector<PerfSnapshot>& snapshots,
 
 std::string PerfDumpToJson(const std::vector<PerfSnapshot>& snapshots,
                            uint64_t now_ns, const PerfDumpOptions& options) {
+  // Aggregate before rendering: quantiles sort each histogram's samples in
+  // place, and the cluster mean sums the entities' samples in report order.
+  PerfSnapshot cluster = AggregateSnapshots(snapshots);
   std::ostringstream out;
   out << "{\n  \"time_ns\": " << now_ns << ",\n  \"entities\": [\n";
   for (size_t i = 0; i < snapshots.size(); ++i) {
@@ -237,7 +164,7 @@ std::string PerfDumpToJson(const std::vector<PerfSnapshot>& snapshots,
     out << (i + 1 < snapshots.size() ? ",\n" : "\n");
   }
   out << "  ],\n  \"cluster\": \n";
-  AppendSnapshotJson(&out, AggregateSnapshots(snapshots), 2, now_ns, 0);
+  AppendSnapshotJson(&out, cluster, 2, now_ns, 0);
   for (const auto& [name, json] : options.sections) {
     out << ",\n  ";
     AppendJsonString(&out, name);

@@ -21,56 +21,16 @@
 
 namespace mal {
 
-// A latency histogram with a deterministic bound on retained samples.
-// Daemon registries live for the whole run, so unbounded raw-sample
-// histograms would grow with op count; this keeps every stride-th
-// observation and doubles the stride when the buffer fills. No RNG —
-// reservoir sampling would perturb the simulator's deterministic streams.
-class BoundedHistogram {
- public:
-  explicit BoundedHistogram(size_t cap = 1024) : cap_(cap < 2 ? 2 : cap) {}
-
-  void Observe(double v);
-
-  // True number of observations (>= samples().size() once decimating).
-  uint64_t observed() const { return observed_; }
-  const std::vector<double>& samples() const { return samples_; }
-
-  // Exact running extremes over *every* observation, not just the retained
-  // subsequence — decimation keeps an evenly-spaced subset, which is fine
-  // for quantiles but silently loses the extremes that alert rules watch.
-  double min() const { return min_; }
-  double max() const { return max_; }
-
-  // Fold in samples recorded elsewhere (monitor-side aggregation).
-  void MergeSamples(const std::vector<double>& samples, uint64_t observed);
-
-  // Quantiles/mean over the retained samples.
-  Histogram ToHistogram() const;
-
- private:
-  size_t cap_;
-  uint64_t stride_ = 1;
-  uint64_t observed_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-  std::vector<double> samples_;
-};
+// The benchmark harness reads registry histograms under this name.
+using BoundedHistogram = Histogram;
 
 // Wire-encodable copy of one registry at one instant.
 struct PerfSnapshot {
-  struct Hist {
-    std::vector<double> samples;
-    uint64_t observed = 0;
-    double min = 0;  // exact running extremes (see BoundedHistogram)
-    double max = 0;
-  };
-
   std::string entity;  // e.g. "osd.2", "mon.0", "client.1"
   uint64_t time_ns = 0;
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, Hist> histograms;
+  std::map<std::string, Histogram> histograms;
 
   bool empty() const {
     return counters.empty() && gauges.empty() && histograms.empty();
@@ -83,12 +43,16 @@ struct PerfSnapshot {
 // The per-daemon metric registry. Single-threaded (simulator), so no locks.
 class PerfRegistry {
  public:
+  // Registries live for the whole run, so their histograms decimate past
+  // this many retained samples instead of growing with op count.
+  static constexpr size_t kHistogramSamples = 1024;
+
   void Inc(const std::string& name, uint64_t delta = 1) {
     counters_[name] += delta;
   }
   void Set(const std::string& name, double value) { gauges_[name] = value; }
   void Observe(const std::string& name, double value) {
-    histograms_[name].Observe(value);
+    histograms_.try_emplace(name, kHistogramSamples).first->second.Add(value);
   }
 
   uint64_t counter(const std::string& name) const {
@@ -99,7 +63,7 @@ class PerfRegistry {
     auto it = gauges_.find(name);
     return it == gauges_.end() ? 0 : it->second;
   }
-  const BoundedHistogram* histogram(const std::string& name) const {
+  const Histogram* histogram(const std::string& name) const {
     auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
   }
@@ -113,7 +77,7 @@ class PerfRegistry {
  private:
   std::map<std::string, uint64_t> counters_;
   std::map<std::string, double> gauges_;
-  std::map<std::string, BoundedHistogram> histograms_;
+  std::map<std::string, Histogram> histograms_;
 };
 
 // Sums counters and merges histogram samples across snapshots. Gauges are

@@ -6,14 +6,46 @@
 #include <cstdio>
 #include <limits>
 
+#include "src/common/buffer.h"
+
 namespace mal {
 
 void Histogram::Add(double v) {
+  min_ = count_ == 0 ? v : std::min(min_, v);
+  max_ = count_ == 0 ? v : std::max(max_, v);
+  ++count_;
+  if (max_samples_ != 0 && !Retain()) {
+    return;
+  }
   samples_.push_back(v);
   sorted_ = samples_.size() <= 1;
 }
 
+// Whether the observation just counted is kept, halving the retained
+// samples and doubling the stride when the buffer is full.
+bool Histogram::Retain() {
+  if ((count_ - 1) % stride_ != 0) {
+    return false;
+  }
+  if (samples_.size() < max_samples_) {
+    return true;
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < samples_.size(); i += 2) {
+    samples_[kept++] = samples_[i];
+  }
+  samples_.resize(kept);
+  stride_ *= 2;
+  return (count_ - 1) % stride_ == 0;
+}
+
 void Histogram::Merge(const Histogram& other) {
+  if (other.count_ == 0) {
+    return;
+  }
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  count_ += other.count_;
   samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
   sorted_ = samples_.size() <= 1;
 }
@@ -23,22 +55,6 @@ void Histogram::Sort() const {
     std::sort(samples_.begin(), samples_.end());
     sorted_ = true;
   }
-}
-
-double Histogram::min() const {
-  if (samples_.empty()) {
-    return 0;
-  }
-  Sort();
-  return samples_.front();
-}
-
-double Histogram::max() const {
-  if (samples_.empty()) {
-    return 0;
-  }
-  Sort();
-  return samples_.back();
 }
 
 double Histogram::mean() const {
@@ -89,6 +105,31 @@ std::vector<std::pair<double, double>> Histogram::Cdf(size_t points) const {
     out.emplace_back(Quantile(p), p);
   }
   return out;
+}
+
+void Histogram::Encode(Encoder* enc) const {
+  enc->PutU64(count_);
+  enc->PutF64(min_);
+  enc->PutF64(max_);
+  enc->PutVarU64(samples_.size());
+  for (double v : samples_) {
+    enc->PutF64(v);
+  }
+}
+
+Histogram Histogram::Decode(Decoder* dec) {
+  Histogram h;
+  h.count_ = dec->GetU64();
+  h.min_ = dec->GetF64();
+  h.max_ = dec->GetF64();
+  uint64_t n = dec->GetVarU64();
+  // A corrupt count must not size the allocation: each sample is 8 bytes.
+  h.samples_.reserve(std::min<uint64_t>(n, dec->remaining() / 8));
+  for (uint64_t i = 0; i < n && dec->ok(); ++i) {
+    h.samples_.push_back(dec->GetF64());
+  }
+  h.sorted_ = h.samples_.size() <= 1;
+  return h;
 }
 
 void ThroughputSeries::Record(uint64_t time_ns, uint64_t count) {

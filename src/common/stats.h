@@ -1,6 +1,6 @@
-// Measurement primitives used by the benchmark harness: latency histograms
-// with quantile/CDF extraction, and windowed throughput time series matching
-// the "throughput over time" figures in the paper.
+// Measurement primitives: latency histograms with quantile/CDF extraction
+// (benches, workloads and the perf counters), and windowed throughput time
+// series matching the "throughput over time" figures in the paper.
 #ifndef MALACOLOGY_COMMON_STATS_H_
 #define MALACOLOGY_COMMON_STATS_H_
 
@@ -11,20 +11,37 @@
 
 namespace mal {
 
-// Stores raw samples; exact quantiles on demand. Experiments record
-// 10^4-10^6 samples, well within memory for exactness.
+class Decoder;
+class Encoder;
+
+// The one latency-sample store, from bench histograms to daemon perf
+// counters and the monitor's dump. count/min/max are exact over every
+// observation; mean, stddev and quantiles are over the retained samples.
+//
+// max_samples = 0 keeps every sample (benches and workloads record 10^4-10^6,
+// well within memory for exact quantiles). A nonzero cap bounds a histogram
+// that lives for a whole run (PerfRegistry): once the buffer fills it drops
+// every other retained sample and from then on keeps every (2*stride)-th
+// observation, so the survivors stay an evenly-spaced subsequence of the
+// stream. No RNG: reservoir sampling would perturb the simulator's
+// deterministic streams.
 class Histogram {
  public:
+  Histogram() = default;
+  explicit Histogram(size_t max_samples) : max_samples_(max_samples) {}
+
   void Add(double v);
+  // Concatenates `other`'s retained samples; never decimates.
   void Merge(const Histogram& other);
 
-  size_t count() const { return samples_.size(); }
-  double min() const;
-  double max() const;
+  size_t count() const { return count_; }
+  double min() const { return min_; }
+  double max() const { return max_; }
   double mean() const;
   double stddev() const;
 
-  // q in [0,1]; linear interpolation between order statistics.
+  // q in [0,1]; linear interpolation between order statistics. Sorts the
+  // retained samples in place.
   double Quantile(double q) const;
 
   // Evenly-spaced CDF points: (value, cumulative probability).
@@ -32,9 +49,20 @@ class Histogram {
 
   const std::vector<double>& samples() const { return samples_; }
 
+  // Wire form (PerfSnapshot): count, min, max, then the retained samples.
+  // A decoded histogram keeps every sample it is given.
+  void Encode(Encoder* enc) const;
+  static Histogram Decode(Decoder* dec);
+
  private:
+  bool Retain();
   void Sort() const;
 
+  size_t max_samples_ = 0;
+  uint64_t stride_ = 1;
+  uint64_t count_ = 0;
+  double min_ = 0;
+  double max_ = 0;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
 };

@@ -26,12 +26,6 @@ mal::Result<std::shared_ptr<MantleBalancer>> MantleBalancer::Load(
       new MantleBalancer(version, std::move(chunk).value()));
 }
 
-std::vector<std::string> MantleBalancer::DrainPolicyOutput() {
-  std::vector<std::string> out = std::move(interp_.print_output());
-  interp_.print_output().clear();
-  return out;
-}
-
 mds::PolicyScriptStats MantleBalancer::ConsumeScriptStats() {
   const script::EngineStats& st = interp_.stats();
   mds::PolicyScriptStats out;
@@ -41,6 +35,8 @@ mds::PolicyScriptStats MantleBalancer::ConsumeScriptStats() {
   out.ic_hits = st.ic_hits - exported_.ic_hits;
   out.ic_misses = st.ic_misses - exported_.ic_misses;
   out.print_dropped = st.print_dropped - exported_.print_dropped;
+  out.prints = std::move(interp_.print_output());
+  interp_.print_output().clear();
   exported_ = st;
   return out;
 }

@@ -47,12 +47,9 @@ class MantleBalancer : public mds::BalancerPolicy {
 
   mal::Result<mds::MigrationTargets> Decide(const mds::BalancerContext& ctx) override;
 
-  // Print output produced by the policy (drained per tick); the manager
-  // relays it to the centralized cluster log.
-  std::vector<std::string> DrainPolicyOutput();
-
   // Engine-counter deltas since the previous call (the interpreter is
-  // persistent, so we diff against the last exported snapshot).
+  // persistent, so we diff against the last exported snapshot), plus the
+  // policy's print() output, which the MDS relays to the cluster log.
   mds::PolicyScriptStats ConsumeScriptStats() override;
 
  private:

@@ -44,6 +44,7 @@ struct PolicyScriptStats {
   uint64_t ic_hits = 0;
   uint64_t ic_misses = 0;
   uint64_t print_dropped = 0;
+  std::vector<std::string> prints;  // print() lines, relayed to the cluster log
 };
 
 class BalancerPolicy {
@@ -52,8 +53,9 @@ class BalancerPolicy {
   virtual std::string name() const = 0;
   virtual mal::Result<MigrationTargets> Decide(const BalancerContext& ctx) = 0;
 
-  // Deltas since the previous call (the daemon drains this every tick and
-  // feeds its perf registry). Default: no script engine, nothing to report.
+  // Deltas since the previous call (the daemon drains this every tick, feeds
+  // its perf registry and logs the printed lines). Default: no script
+  // engine, nothing to report.
   virtual PolicyScriptStats ConsumeScriptStats() { return {}; }
 };
 

@@ -219,17 +219,6 @@ const Inode* MdsDaemon::GetInode(const std::string& path) const {
   return it == inodes_.end() ? nullptr : &it->second.inode;
 }
 
-std::vector<SubtreeLoad> MdsDaemon::HostedSubtrees() const {
-  std::vector<SubtreeLoad> subtrees;
-  for (const auto& [path, hosted] : inodes_) {
-    if (path == "/") {
-      continue;  // the root never migrates
-    }
-    subtrees.push_back({path, hosted.rate});
-  }
-  return subtrees;
-}
-
 void MdsDaemon::HandleRequest(const sim::Envelope& request) {
   dispatcher_.Dispatch(request);
 }
@@ -983,6 +972,10 @@ void MdsDaemon::BalanceTick() {
     if (delta != 0) {
       perf_.Inc(cname, delta);
     }
+  }
+  // Policy print() output goes to the centralized cluster log (paper §5.1).
+  for (const std::string& line : sstats.prints) {
+    mon_client_.Log("INFO", policy_->name() + ": " + line);
   }
   if (!targets.ok()) {
     MAL_WARN(name().ToString()) << "balancer error: " << targets.status();

@@ -140,7 +140,6 @@ class MdsDaemon : public sim::Actor {
   bool IsAuthority(const std::string& path) const;
   uint32_t AuthorityOf(const std::string& path) const;
   const Inode* GetInode(const std::string& path) const;
-  std::vector<SubtreeLoad> HostedSubtrees() const;
   const std::map<uint32_t, LoadMetrics>& load_table() const { return load_table_; }
   uint64_t requests_handled() const { return requests_handled_; }
   const mon::MdsMap& mds_map() const { return mds_map_; }
@@ -148,8 +147,6 @@ class MdsDaemon : public sim::Actor {
   rados::RadosClient& rados_client() { return rados_; }
   mal::PerfRegistry& perf() { return perf_; }
   const MdsConfig& config() const { return config_; }
-  // Exposed so Mantle can tune aggressiveness knobs at runtime.
-  MdsConfig& mutable_config() { return config_; }
 
   // Observer hooks for experiments.
   std::function<void(const std::string&, uint32_t)> on_migration;  // path, target

@@ -300,13 +300,4 @@ void MdsClient::ReleaseNow(const std::string& path) {
   });
 }
 
-void MdsClient::ReleaseCap(const std::string& path, DoneHandler on_done) {
-  if (!HasCap(path)) {
-    on_done(mal::Status::NotFound("no cap held for " + path));
-    return;
-  }
-  ReleaseNow(path);
-  on_done(mal::Status::Ok());
-}
-
 }  // namespace mal::mds

@@ -75,8 +75,6 @@ class MdsClient {
   // Reserves `count` contiguous positions from the cached tail (returns the
   // first). The whole batch counts against quota terms at once.
   mal::Result<uint64_t> LocalNextBatch(const std::string& path, uint64_t count);
-  // Voluntarily give the cap back now.
-  void ReleaseCap(const std::string& path, DoneHandler on_done);
 
   // Generic escape hatch.
   void Request(const ClientRequest& request, ReplyHandler on_reply);

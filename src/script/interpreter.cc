@@ -51,17 +51,6 @@ std::vector<std::string> Environment::LocalNames() const {
   return names;
 }
 
-bool Environment::Has(const std::string& name) const {
-  const Environment* env = this;
-  while (env != nullptr) {
-    if (env->vars_.count(name) != 0) {
-      return true;
-    }
-    env = env->parent_.get();
-  }
-  return false;
-}
-
 Value* Environment::FindLocalSlot(const std::string& name) {
   auto it = vars_.find(name);
   return it == vars_.end() ? nullptr : &it->second;

@@ -50,8 +50,6 @@ class Environment : public std::enable_shared_from_this<Environment> {
   // Defines in this scope (local declaration / parameter binding).
   void Define(const std::string& name, Value value);
 
-  bool Has(const std::string& name) const;
-
   const std::shared_ptr<Environment>& parent() const { return parent_; }
 
   // Names defined directly in this scope (not parents). Used to discover

@@ -120,7 +120,6 @@ class Network {
 
   // Failure injection.
   void SetCrashed(EntityName name, bool crashed);
-  bool IsCrashed(EntityName name) const { return crashed_.count(name) != 0; }
   void SetPartitioned(EntityName a, EntityName b, bool partitioned);
 
   // Chaos knobs: probabilistic loss/duplication/reordering, drawn from the

@@ -113,21 +113,17 @@ void SeriesStore::Ingest(const mal::PerfSnapshot& snapshot) {
     ObserveMetric(entity, name, MetricKind::kGauge, t, value);
   }
   for (const auto& [name, hist] : snapshot.histograms) {
-    if (hist.observed == 0) {
+    if (hist.count() == 0) {
       continue;
     }
-    Histogram h;
-    for (double v : hist.samples) {
-      h.Add(v);
-    }
-    ObserveMetric(entity, name + ".p99", MetricKind::kDerived, t, h.Quantile(0.99));
-    ObserveMetric(entity, name + ".mean", MetricKind::kDerived, t, h.mean());
-    // Exact running extremes ride the snapshot (see BoundedHistogram), so
+    ObserveMetric(entity, name + ".p99", MetricKind::kDerived, t, hist.Quantile(0.99));
+    ObserveMetric(entity, name + ".mean", MetricKind::kDerived, t, hist.mean());
+    // Extremes are exact over every observation (see mal::Histogram), so
     // alert rules on tails do not inherit decimation error.
-    ObserveMetric(entity, name + ".min", MetricKind::kDerived, t, hist.min);
-    ObserveMetric(entity, name + ".max", MetricKind::kDerived, t, hist.max);
+    ObserveMetric(entity, name + ".min", MetricKind::kDerived, t, hist.min());
+    ObserveMetric(entity, name + ".max", MetricKind::kDerived, t, hist.max());
     ObserveMetric(entity, name + ".count", MetricKind::kCounter, t,
-                  static_cast<double>(hist.observed));
+                  static_cast<double>(hist.count()));
   }
 }
 

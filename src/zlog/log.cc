@@ -23,13 +23,9 @@ Log::Log(sim::Actor* owner, rados::RadosClient* rados, mds::MdsClient* mds,
       rados_(rados),
       mds_(mds),
       options_(std::move(options)),
-      retry_policy_(options_.retry),
       retry_rng_(0x7a6c6f67ULL * 0x9e3779b97f4a7c15ULL +
                  (static_cast<uint64_t>(owner->name().type) << 32) + owner->name().id),
       sequencer_path_("/zlog/" + options_.name) {
-  // max_append_retries predates RetryPolicy and stays authoritative for the
-  // attempt budget (several tests and benches tune it directly).
-  retry_policy_.max_attempts = options_.max_append_retries;
   views_.push_back(View{0, options_.stripe_width, 0});
 }
 
@@ -223,7 +219,7 @@ void Log::PumpBatchQueue() {
     for (size_t i = 0; i < indices.size(); ++i) {
       indices[i] = i;
     }
-    BatchAttempt(std::move(batch), std::move(indices), svc::Backoff(retry_policy_));
+    BatchAttempt(std::move(batch), std::move(indices), svc::Backoff(options_.retry));
   }
 }
 

@@ -52,12 +52,10 @@ struct LogOptions {
   SequencerMode sequencer_mode = SequencerMode::kRoundTrip;
   // Lease terms for kCached mode (the Fig 5/6/7 knobs).
   mds::LeasePolicy lease;
-  int max_append_retries = 4;
-  // Backoff base/cap between append retries (epoch fences, position
-  // collisions, sequencer recovery). The attempt budget stays
-  // max_append_retries; the default zero base delay keeps the legacy
-  // retry-immediately behavior.
-  svc::RetryPolicy retry{};
+  // Attempt budget and backoff base/cap for append retries (epoch fences,
+  // position collisions, sequencer recovery). The default zero base delay
+  // keeps the legacy retry-immediately behavior.
+  svc::RetryPolicy retry{.max_attempts = 4};
   // Windowed pipeline: how many AppendBatch() calls may be on the wire at
   // once. Batches beyond the window queue; independent batches overlap so
   // the append path is bandwidth-bound instead of per-RPC-latency-bound.
@@ -172,7 +170,6 @@ class Log {
   mds::MdsClient* mds_;
   mal::PerfRegistry* perf_ = nullptr;
   LogOptions options_;
-  svc::RetryPolicy retry_policy_;  // options_.retry with max_append_retries applied
   mal::Rng retry_rng_;
   std::string sequencer_path_;
   uint64_t epoch_ = 0;

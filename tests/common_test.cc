@@ -460,32 +460,31 @@ TEST(HistogramTest, MergeEdgeCases) {
 }
 
 TEST(BoundedHistogramTest, DecimatesDeterministicallyAtCap) {
-  BoundedHistogram h(64);
+  Histogram h(64);
   for (int i = 0; i < 10'000; ++i) {
-    h.Observe(i);
+    h.Add(i);
   }
-  EXPECT_EQ(h.observed(), 10'000u);
+  EXPECT_EQ(h.count(), 10'000u);
   EXPECT_LE(h.samples().size(), 64u);
   EXPECT_GE(h.samples().size(), 16u);
   // No RNG: an identical observation stream yields identical survivors.
-  BoundedHistogram h2(64);
+  Histogram h2(64);
   for (int i = 0; i < 10'000; ++i) {
-    h2.Observe(i);
+    h2.Add(i);
   }
   EXPECT_EQ(h.samples(), h2.samples());
   // Survivors stay an evenly spaced subsequence, so summary statistics of
   // the uniform stream survive decimation.
-  Histogram summary = h.ToHistogram();
-  EXPECT_NEAR(summary.mean(), 5'000.0, 800.0);
-  EXPECT_NEAR(summary.Quantile(0.5), 5'000.0, 800.0);
+  EXPECT_NEAR(h.mean(), 5'000.0, 800.0);
+  EXPECT_NEAR(h.Quantile(0.5), 5'000.0, 800.0);
 }
 
 TEST(BoundedHistogramTest, BelowCapKeepsEverySample) {
-  BoundedHistogram h(1024);
+  Histogram h(1024);
   for (int i = 0; i < 100; ++i) {
-    h.Observe(i);
+    h.Add(i);
   }
-  EXPECT_EQ(h.observed(), 100u);
+  EXPECT_EQ(h.count(), 100u);
   EXPECT_EQ(h.samples().size(), 100u);
 }
 
@@ -502,7 +501,7 @@ TEST(PerfRegistryTest, CountersGaugesHistograms) {
   EXPECT_EQ(reg.counter("missing"), 0u);
   EXPECT_DOUBLE_EQ(reg.gauge("depth"), 3.5);
   ASSERT_NE(reg.histogram("lat_us"), nullptr);
-  EXPECT_EQ(reg.histogram("lat_us")->observed(), 2u);
+  EXPECT_EQ(reg.histogram("lat_us")->count(), 2u);
   EXPECT_EQ(reg.histogram("missing"), nullptr);
 
   PerfSnapshot snap = reg.Snapshot("osd.0", 123);
@@ -510,7 +509,7 @@ TEST(PerfRegistryTest, CountersGaugesHistograms) {
   EXPECT_EQ(snap.time_ns, 123u);
   EXPECT_EQ(snap.counters.at("ops"), 5u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("depth"), 3.5);
-  ASSERT_EQ(snap.histograms.at("lat_us").samples.size(), 2u);
+  ASSERT_EQ(snap.histograms.at("lat_us").samples().size(), 2u);
 }
 
 TEST(PerfSnapshotTest, EncodeDecodeRoundTrip) {
@@ -529,13 +528,71 @@ TEST(PerfSnapshotTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.time_ns, 42u);
   EXPECT_EQ(decoded.counters, snap.counters);
   EXPECT_EQ(decoded.gauges, snap.gauges);
-  ASSERT_EQ(decoded.histograms.at("queue_us").samples.size(), 2u);
-  EXPECT_EQ(decoded.histograms.at("queue_us").observed, 2u);
+  ASSERT_EQ(decoded.histograms.at("queue_us").samples().size(), 2u);
+  EXPECT_EQ(decoded.histograms.at("queue_us").count(), 2u);
 
   // Truncated wire data fails cleanly instead of reading junk.
   Buffer truncated = Buffer::FromString(wire.ToString().substr(0, wire.size() / 2));
   PerfSnapshot bad;
   EXPECT_FALSE(PerfSnapshot::Decode(truncated, &bad).ok());
+
+  // A corrupt sample count fails the decode instead of sizing an allocation.
+  Buffer corrupt;
+  Encoder enc(&corrupt);
+  enc.PutString("osd.0");
+  enc.PutU64(1);
+  enc.PutVarU64(0);  // counters
+  enc.PutVarU64(0);  // gauges
+  enc.PutVarU64(1);  // histograms
+  enc.PutString("lat_us");
+  enc.PutU64(1);
+  enc.PutF64(1.0);
+  enc.PutF64(1.0);
+  enc.PutVarU64(uint64_t{1} << 60);
+  enc.PutF64(1.0);
+  PerfSnapshot huge;
+  EXPECT_FALSE(PerfSnapshot::Decode(corrupt, &huge).ok());
+}
+
+// Golden values for a decimating registry histogram: the wire bytes and the
+// dump line were recorded from the implementation this one replaced
+// (BoundedHistogram + PerfSnapshot::Hist), so any change to which samples
+// survive, how they encode, or how the dump summarizes them shows here.
+TEST(PerfSnapshotTest, GoldenWireBytesAndDumpLine) {
+  PerfRegistry reg;
+  for (int i = 0; i < 5000; ++i) {
+    reg.Observe("osd.op.read.latency_us", (((i + 1) * 7919) % 1000) / 4.0 + (i % 7) * 0.125);
+  }
+  const Histogram* hist = reg.histogram("osd.op.read.latency_us");
+  ASSERT_NE(hist, nullptr);
+  EXPECT_EQ(hist->count(), 5000u);
+  EXPECT_EQ(hist->samples().size(), 625u);  // stride 8 after three halvings
+  // The minimum (the last observation) is not retained, yet stays exact.
+  EXPECT_DOUBLE_EQ(hist->min(), 0.125);
+  for (double v : hist->samples()) {
+    EXPECT_GT(v, 0.125);
+  }
+
+  PerfSnapshot snap = reg.Snapshot("osd.0", 1000);
+  Buffer wire;
+  snap.Encode(&wire);
+  std::string bytes = wire.ToString();
+  uint64_t fnv = 1469598103934665603ULL;
+  for (unsigned char c : bytes) {
+    fnv = (fnv ^ c) * 1099511628211ULL;
+  }
+  EXPECT_EQ(bytes.size(), 5066u);
+  EXPECT_EQ(fnv, 0x962b2faba5a1d069ULL);
+
+  const std::string line =
+      "\"osd.op.read.latency_us\": {\"count\": 5000, \"mean\": 126.124, "
+      "\"p50\": 126.000, \"p90\": 225.950, \"p99\": 248.345, \"min\": 0.125, "
+      "\"max\": 250.375}";
+  std::string json = PerfDumpToJson({snap}, 2000);
+  size_t entity = json.find(line);
+  ASSERT_NE(entity, std::string::npos) << json;
+  // The one-entity cluster aggregate summarizes to the same line.
+  EXPECT_NE(json.find(line, entity + line.size()), std::string::npos) << json;
 }
 
 TEST(PerfSnapshotTest, AggregateSumsCountersMergesHistsDropsGauges) {
@@ -557,8 +614,8 @@ TEST(PerfSnapshotTest, AggregateSumsCountersMergesHistsDropsGauges) {
   EXPECT_EQ(agg.counters.at("aborts"), 1u);
   // Gauges are point-in-time per entity; a cross-entity sum is meaningless.
   EXPECT_TRUE(agg.gauges.empty());
-  EXPECT_EQ(agg.histograms.at("lat").samples.size(), 2u);
-  EXPECT_EQ(agg.histograms.at("lat").observed, 2u);
+  EXPECT_EQ(agg.histograms.at("lat").samples().size(), 2u);
+  EXPECT_EQ(agg.histograms.at("lat").count(), 2u);
 }
 
 TEST(PerfDumpTest, JsonContainsEntitiesAndClusterAggregate) {

@@ -205,6 +205,32 @@ TEST_F(MantleClusterTest, PolicyInstallsViaServiceMetadataAndRados) {
   EXPECT_TRUE(logged);
 }
 
+TEST_F(MantleClusterTest, PolicyPrintReachesClusterLog) {
+  Start();
+  auto* admin = cluster->NewClient();
+  bool installed = false;
+  MantleManager::InstallPolicy(&admin->rados, "chatty",
+                               "print(\"rank \" .. whoami .. \" load checked\")",
+                               [&](Status s) {
+                                 ASSERT_TRUE(s.ok()) << s;
+                                 installed = true;
+                               });
+  ASSERT_TRUE(cluster->RunUntil([&] { return installed; }));
+  ASSERT_TRUE(cluster->RunUntil([&] { return managers[0]->loaded_version() == "chatty"; },
+                                20 * sim::kSecond));
+
+  // Two balance ticks plus time for the one-way log message to land.
+  cluster->RunFor(5 * sim::kSecond);
+  bool relayed = false;
+  for (const auto& entry : cluster->monitor(0).cluster_log()) {
+    if (entry.source == "mds.0" && entry.severity == "INFO" &&
+        entry.message == "mantle:chatty: rank 0 load checked") {
+      relayed = true;
+    }
+  }
+  EXPECT_TRUE(relayed);
+}
+
 TEST_F(MantleClusterTest, VersionUpgradeSwapsPolicyLive) {
   Start();
   auto* admin = cluster->NewClient();

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -527,7 +528,30 @@ void ExpectEnginesAgree(const std::string& source) {
   EXPECT_EQ(vm.scalars, oracle.scalars) << source;
 }
 
+// Sets MAL_SCRIPT_ORACLE for one scope and restores the caller's value, so
+// the suite also runs with the variable set in its environment.
+class ScopedOracle {
+ public:
+  explicit ScopedOracle(bool on) {
+    if (const char* value = std::getenv("MAL_SCRIPT_ORACLE")) {
+      saved_ = value;
+    }
+    setenv("MAL_SCRIPT_ORACLE", on ? "1" : "0", 1);
+  }
+  ~ScopedOracle() {
+    if (saved_.has_value()) {
+      setenv("MAL_SCRIPT_ORACLE", saved_->c_str(), 1);
+    } else {
+      unsetenv("MAL_SCRIPT_ORACLE");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
 TEST(VmTest, DefaultEngineRunsBytecode) {
+  ScopedOracle oracle(false);
   Interpreter interp;
   ASSERT_TRUE(interp.RunSource("result = 2 + 3").ok());
   EXPECT_EQ(interp.GetGlobal("result").as_number(), 5);
@@ -545,19 +569,24 @@ TEST(VmTest, OracleKnobPinsTreeWalker) {
 }
 
 TEST(VmTest, OracleEnvVarForcesTreeWalker) {
-  ASSERT_EQ(setenv("MAL_SCRIPT_ORACLE", "1", 1), 0);
   Interpreter interp;
-  ASSERT_TRUE(interp.RunSource("result = 7 * 6").ok());
-  EXPECT_EQ(interp.GetGlobal("result").as_number(), 42);
-  EXPECT_EQ(interp.stats().vm_runs, 0u);
-  EXPECT_EQ(interp.stats().oracle_runs, 1u);
-  ASSERT_EQ(unsetenv("MAL_SCRIPT_ORACLE"), 0);
+  {
+    ScopedOracle oracle(true);
+    ASSERT_TRUE(interp.RunSource("result = 7 * 6").ok());
+    EXPECT_EQ(interp.GetGlobal("result").as_number(), 42);
+    EXPECT_EQ(interp.stats().vm_runs, 0u);
+    EXPECT_EQ(interp.stats().oracle_runs, 1u);
+  }
+  // The variable is read per top-level entry, so turning it off takes
+  // effect on the next run.
+  ScopedOracle oracle(false);
   ASSERT_TRUE(interp.RunSource("result = 7 * 6").ok());
   EXPECT_EQ(interp.stats().vm_runs, 1u);
 }
 
 TEST(VmTest, InstructionBudgetAbortsHotLoop) {
   Interpreter interp;
+  interp.set_engine(Interpreter::Engine::kVm);
   interp.set_instruction_budget(1000);
   Status s = interp.RunSource("x = 0 while true do x = x + 1 end");
   EXPECT_EQ(s.code(), Code::kAborted);
@@ -567,6 +596,7 @@ TEST(VmTest, InstructionBudgetAbortsHotLoop) {
 
 TEST(VmTest, FieldInlineCacheHitsOnHotLoop) {
   Interpreter interp;
+  interp.set_engine(Interpreter::Engine::kVm);
   ASSERT_TRUE(interp
                   .RunSource("t = {x = 1}\n"
                              "sum = 0\n"
@@ -609,6 +639,7 @@ TEST(VmTest, ValueUpdateKeepsShapeAndCache) {
   // Overwriting an existing key must NOT bump the shape: the whole point of
   // the IC is that hot read-modify-write loops stay cached.
   Interpreter interp;
+  interp.set_engine(Interpreter::Engine::kVm);
   ASSERT_TRUE(interp
                   .RunSource("t = {n = 0}\n"
                              "for i = 1, 50 do t.n = t.n + 1 end\n"
@@ -687,6 +718,7 @@ TEST(VmTest, ClosureCapturesFreshCellPerIteration) {
 
 TEST(VmTest, LocalFunctionRecursionViaCell) {
   Interpreter interp;
+  interp.set_engine(Interpreter::Engine::kVm);
   ASSERT_TRUE(interp
                   .RunSource("local function fact(n)\n"
                              "  if n < 2 then return 1 end\n"

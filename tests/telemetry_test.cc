@@ -111,10 +111,9 @@ TEST(SeriesStoreTest, HistogramsBecomeDerivedSubMetrics) {
   PerfSnapshot snap;
   snap.entity = "client.0";
   snap.time_ns = 4 * kS;
-  snap.histograms["lat_us"].samples = {100, 200, 1000};
-  snap.histograms["lat_us"].observed = 3;
-  snap.histograms["lat_us"].min = 100;
-  snap.histograms["lat_us"].max = 1000;
+  for (double v : {100, 200, 1000}) {
+    snap.histograms["lat_us"].Add(v);
+  }
   store.Ingest(snap);
 
   auto metrics = store.Metrics("client.0");
@@ -176,10 +175,7 @@ PerfSnapshot TailSnap(uint64_t time_ns, double p99ish) {
   PerfSnapshot snap;
   snap.entity = "client.0";
   snap.time_ns = time_ns;
-  snap.histograms["zlog.batch_us"].samples = {p99ish};
-  snap.histograms["zlog.batch_us"].observed = 1;
-  snap.histograms["zlog.batch_us"].min = p99ish;
-  snap.histograms["zlog.batch_us"].max = p99ish;
+  snap.histograms["zlog.batch_us"].Add(p99ish);
   return snap;
 }
 
@@ -366,11 +362,11 @@ TEST(PerfDumpTest, StaleEntitiesAreFlaggedWithReportAge) {
 }
 
 TEST(BoundedHistogramTest, ExactExtremesSurviveDecimation) {
-  BoundedHistogram hist(8);
+  Histogram hist(8);
   for (int i = 0; i < 1000; ++i) {
-    hist.Observe(static_cast<double>((i * 37) % 1000) + 1);
+    hist.Add(static_cast<double>((i * 37) % 1000) + 1);
   }
-  EXPECT_EQ(hist.observed(), 1000u);
+  EXPECT_EQ(hist.count(), 1000u);
   EXPECT_LT(hist.samples().size(), 100u);  // decimation kicked in
   EXPECT_DOUBLE_EQ(hist.min(), 1);
   EXPECT_DOUBLE_EQ(hist.max(), 1000);
@@ -381,12 +377,13 @@ TEST(BoundedHistogramTest, ExactExtremesSurviveDecimation) {
   reg.Observe("lat", 3);
   reg.Observe("lat", 700);
   PerfSnapshot snap = reg.Snapshot("osd.0", 1 * kS);
-  EXPECT_DOUBLE_EQ(snap.histograms.at("lat").min, 3);
-  EXPECT_DOUBLE_EQ(snap.histograms.at("lat").max, 700);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("lat").min(), 3);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("lat").max(), 700);
 
-  BoundedHistogram merged;
-  merged.Observe(100);
-  merged.MergeSamples({3, 700}, 2);
+  Histogram merged;
+  merged.Add(100);
+  merged.Merge(snap.histograms.at("lat"));
+  EXPECT_EQ(merged.count(), 4u);
   EXPECT_DOUBLE_EQ(merged.min(), 3);
   EXPECT_DOUBLE_EQ(merged.max(), 700);
 }

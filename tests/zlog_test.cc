@@ -459,7 +459,7 @@ TEST_F(ZlogFixture, StressAppendsAcrossReconfigurationNoEntryLost) {
   LogOptions options;
   options.name = "stress";
   options.stripe_width = 2;
-  options.max_append_retries = 8;
+  options.retry.max_attempts = 8;
   auto log_a = OpenLog(client_a, options);
   auto log_b = OpenLog(client_b, options);
 
@@ -658,7 +658,7 @@ TEST_F(ZlogFixture, AppendRetriesExhaustedReportsUnavailable) {
   auto* client = cluster->NewClient();
   LogOptions options;
   options.name = "sealed";
-  options.max_append_retries = 3;
+  options.retry.max_attempts = 3;
   auto log = OpenLog(client, options);
   ASSERT_TRUE(Append(log.get(), "pre").ok());
 
@@ -746,7 +746,7 @@ TEST_F(ZlogFixture, RecoveryWithInFlightBatchesLeaksHolesNotData) {
   LogOptions options;
   options.name = "recbatch";
   options.max_inflight = 4;
-  options.max_append_retries = 8;
+  options.retry.max_attempts = 8;
   auto log_w = OpenLog(writer, options);
 
   constexpr int kBatches = 4;
