@@ -97,13 +97,13 @@ mal::Result<mal::Buffer> ZlogWrite(ClsContext& ctx, const mal::Buffer& input) {
     return s;
   }
   std::string key = ZlogOps::EntryKey(pos);
-  if (ctx.OmapGet(key).ok()) {
+  if (ctx.OmapHas(key)) {
     return mal::Status::ReadOnly("position " + U64ToString(pos) + " already written");
   }
   std::string record;
   record.push_back(static_cast<char>(ZlogEntryState::kWritten));
   record.append(data.data(), data.size());
-  s = ctx.OmapSet(key, record);
+  s = ctx.OmapSet(std::move(key), std::move(record));
   if (!s.ok()) {
     return s;
   }
@@ -142,7 +142,7 @@ mal::Result<mal::Buffer> ZlogWriteBatch(ClsContext& ctx, const mal::Buffer& inpu
       return mal::Status::InvalidArgument("truncated write_batch entry");
     }
     std::string key = ZlogOps::EntryKey(pos);
-    if (ctx.OmapGet(key).ok()) {
+    if (ctx.OmapHas(key)) {
       // Write-once collision invalidates only this slot; the rest of the
       // batch commits (per-entry retry happens client-side).
       enc.PutU32(static_cast<uint32_t>(mal::Code::kReadOnly));
@@ -152,7 +152,7 @@ mal::Result<mal::Buffer> ZlogWriteBatch(ClsContext& ctx, const mal::Buffer& inpu
     record.reserve(1 + data.size());
     record.push_back(static_cast<char>(ZlogEntryState::kWritten));
     record.append(data.data(), data.size());
-    s = ctx.OmapSet(key, record);
+    s = ctx.OmapSet(std::move(key), std::move(record));
     if (!s.ok()) {
       return s;
     }
@@ -215,7 +215,7 @@ mal::Result<mal::Buffer> ZlogFill(ClsContext& ctx, const mal::Buffer& input) {
     return mal::Buffer();  // idempotent
   }
   std::string record(1, static_cast<char>(ZlogEntryState::kFilled));
-  s = ctx.OmapSet(key, record);
+  s = ctx.OmapSet(std::move(key), std::move(record));
   if (!s.ok()) {
     return s;
   }
@@ -623,8 +623,12 @@ mal::Buffer ZlogOps::MakeTrim(uint64_t epoch, uint64_t pos) { return MakeRead(ep
 mal::Buffer ZlogOps::MakeMaxPos(uint64_t epoch) { return MakeSeal(epoch); }
 
 std::string ZlogOps::EntryKey(uint64_t pos) {
-  char key[32];
-  std::snprintf(key, sizeof(key), "entry.%020" PRIu64, pos);
+  // "entry." and `pos` zero-padded to 20 digits (UINT64_MAX has 20), so keys
+  // sort in position order.
+  std::string key = "entry.00000000000000000000";
+  for (size_t i = key.size(); pos != 0; pos /= 10) {
+    key[--i] = static_cast<char>('0' + pos % 10);
+  }
   return key;
 }
 

@@ -28,6 +28,10 @@ mal::Result<std::string> ClsContext::OmapGet(const std::string& key) const {
   return *value;
 }
 
+bool ClsContext::OmapHas(const std::string& key) const {
+  return staged_->exists() && staged_->OmapFind(key) != nullptr;
+}
+
 mal::Result<std::map<std::string, std::string>> ClsContext::OmapList(
     const std::string& prefix) const {
   if (!staged_->exists()) {
@@ -95,14 +99,14 @@ mal::Status ClsContext::Append(const mal::Buffer& data) {
   return mal::Status::Ok();
 }
 
-mal::Status ClsContext::OmapSet(const std::string& key, const std::string& value) {
+mal::Status ClsContext::OmapSet(std::string key, std::string value) {
   staged_->Create();
-  staged_->OmapSet(key, value);
   osd::Op op;
   op.type = osd::Op::Type::kOmapSet;
   op.key = key;
   op.value = value;
   RecordAndApply(std::move(op));
+  staged_->OmapSet(std::move(key), std::move(value));
   return mal::Status::Ok();
 }
 
@@ -118,14 +122,14 @@ mal::Status ClsContext::OmapDel(const std::string& key) {
   return mal::Status::Ok();
 }
 
-mal::Status ClsContext::XattrSet(const std::string& key, const std::string& value) {
+mal::Status ClsContext::XattrSet(std::string key, std::string value) {
   staged_->Create();
-  staged_->XattrSet(key, value);
   osd::Op op;
   op.type = osd::Op::Type::kXattrSet;
   op.key = key;
   op.value = value;
   RecordAndApply(std::move(op));
+  staged_->XattrSet(std::move(key), std::move(value));
   return mal::Status::Ok();
 }
 

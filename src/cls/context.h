@@ -33,6 +33,9 @@ class ClsContext {
   mal::Result<mal::Buffer> Read(uint64_t offset, uint64_t length) const;
   mal::Result<uint64_t> Size() const;
   mal::Result<std::string> OmapGet(const std::string& key) const;
+  // True when `key` is in the omap: a lookup that copies nothing and builds
+  // no error on a miss (the write-once checks).
+  bool OmapHas(const std::string& key) const;
   mal::Result<std::map<std::string, std::string>> OmapList(const std::string& prefix) const;
   mal::Result<std::string> XattrGet(const std::string& key) const;
 
@@ -41,9 +44,12 @@ class ClsContext {
   mal::Status Write(uint64_t offset, const mal::Buffer& data);
   mal::Status WriteFull(const mal::Buffer& data);
   mal::Status Append(const mal::Buffer& data);
-  mal::Status OmapSet(const std::string& key, const std::string& value);
+  // Key and value are taken by value: after the effect op records a copy,
+  // they move into the staged object, and commit moves them on into the
+  // store.
+  mal::Status OmapSet(std::string key, std::string value);
   mal::Status OmapDel(const std::string& key);
-  mal::Status XattrSet(const std::string& key, const std::string& value);
+  mal::Status XattrSet(std::string key, std::string value);
 
  private:
   void RecordAndApply(osd::Op op);

@@ -10,9 +10,9 @@ PerfSnapshot PerfRegistry::Snapshot(const std::string& entity,
   PerfSnapshot snap;
   snap.entity = entity;
   snap.time_ns = time_ns;
-  snap.counters = counters_;
-  snap.gauges = gauges_;
-  snap.histograms = histograms_;
+  snap.counters.insert(counters_.begin(), counters_.end());
+  snap.gauges.insert(gauges_.begin(), gauges_.end());
+  snap.histograms.insert(histograms_.begin(), histograms_.end());
   return snap;
 }
 

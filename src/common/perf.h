@@ -14,6 +14,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/common/buffer.h"
@@ -41,29 +44,29 @@ struct PerfSnapshot {
 };
 
 // The per-daemon metric registry. Single-threaded (simulator), so no locks.
+// Names are looked up heterogeneously (std::less<>): a call with a literal
+// or a std::string_view allocates nothing unless it creates the entry.
 class PerfRegistry {
  public:
   // Registries live for the whole run, so their histograms decimate past
   // this many retained samples instead of growing with op count.
   static constexpr size_t kHistogramSamples = 1024;
 
-  void Inc(const std::string& name, uint64_t delta = 1) {
-    counters_[name] += delta;
-  }
-  void Set(const std::string& name, double value) { gauges_[name] = value; }
-  void Observe(const std::string& name, double value) {
-    histograms_.try_emplace(name, kHistogramSamples).first->second.Add(value);
+  void Inc(std::string_view name, uint64_t delta = 1) { Slot(counters_, name) += delta; }
+  void Set(std::string_view name, double value) { Slot(gauges_, name) = value; }
+  void Observe(std::string_view name, double value) {
+    Slot(histograms_, name, kHistogramSamples).Add(value);
   }
 
-  uint64_t counter(const std::string& name) const {
+  uint64_t counter(std::string_view name) const {
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
   }
-  double gauge(const std::string& name) const {
+  double gauge(std::string_view name) const {
     auto it = gauges_.find(name);
     return it == gauges_.end() ? 0 : it->second;
   }
-  const Histogram* histogram(const std::string& name) const {
+  const Histogram* histogram(std::string_view name) const {
     auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
   }
@@ -75,9 +78,24 @@ class PerfRegistry {
   PerfSnapshot Snapshot(const std::string& entity, uint64_t time_ns) const;
 
  private:
-  std::map<std::string, uint64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  template <typename V>
+  using NameMap = std::map<std::string, V, std::less<>>;
+
+  // The entry for `name`, created from `args` if absent: one tree descent
+  // either way.
+  template <typename V, typename... Args>
+  static V& Slot(NameMap<V>& map, std::string_view name, Args&&... args) {
+    auto it = map.lower_bound(name);
+    if (it == map.end() || it->first != name) {
+      it = map.emplace_hint(it, std::piecewise_construct, std::forward_as_tuple(name),
+                            std::forward_as_tuple(std::forward<Args>(args)...));
+    }
+    return it->second;
+  }
+
+  NameMap<uint64_t> counters_;
+  NameMap<double> gauges_;
+  NameMap<Histogram> histograms_;
 };
 
 // Sums counters and merges histogram samples across snapshots. Gauges are

@@ -1,6 +1,7 @@
 #include "src/osd/object_store.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace mal::osd {
 
@@ -106,85 +107,105 @@ void TxnObject::Remove() {
 }
 
 const std::string* TxnObject::OmapFind(const std::string& key) const {
-  if (auto it = omap_.find(key); it != omap_.end()) {
-    return it->second ? &*it->second : nullptr;
-  }
-  if (base_visible()) {
-    if (auto it = base_->omap.find(key); it != base_->omap.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return omap_.Find(base_visible() ? &base_->omap : nullptr, key);
 }
 
 const std::string* TxnObject::XattrFind(const std::string& key) const {
-  if (auto it = xattrs_.find(key); it != xattrs_.end()) {
-    return it->second ? &*it->second : nullptr;
-  }
-  if (base_visible()) {
-    if (auto it = base_->xattrs.find(key); it != base_->xattrs.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return xattrs_.Find(base_visible() ? &base_->xattrs : nullptr, key);
 }
 
 const mal::Buffer* TxnObject::SnapFind(const std::string& name) const {
-  if (auto it = snaps_.find(name); it != snaps_.end()) {
-    return it->second ? &*it->second : nullptr;
-  }
-  if (base_visible()) {
-    if (auto it = base_->snapshots.find(name); it != base_->snapshots.end()) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  return snaps_.Find(base_visible() ? &base_->snapshots : nullptr, name);
 }
 
 std::map<std::string, std::string> TxnObject::OmapList(const std::string& prefix) const {
+  // Keys sharing a prefix are contiguous in a sorted map.
+  auto in_range = [&prefix](const std::string& key) { return key.rfind(prefix, 0) == 0; };
   std::map<std::string, std::string> matched;
   if (base_visible()) {
-    // Keys sharing a prefix are contiguous in a sorted map.
-    for (auto it = base_->omap.lower_bound(prefix); it != base_->omap.end(); ++it) {
-      if (it->first.rfind(prefix, 0) != 0) {
-        break;
-      }
-      matched[it->first] = it->second;
+    auto base = base_->omap.lower_bound(prefix);
+    for (; base != base_->omap.end() && in_range(base->first); ++base) {
+      matched.emplace_hint(matched.end(), base->first, base->second);
     }
   }
-  for (auto it = omap_.lower_bound(prefix); it != omap_.end(); ++it) {
-    if (it->first.rfind(prefix, 0) != 0) {
-      break;
-    }
-    if (it->second) {
-      matched[it->first] = *it->second;
-    } else {
-      matched.erase(it->first);
-    }
+  auto set = omap_.sets.lower_bound(prefix);
+  for (; set != omap_.sets.end() && in_range(set->first); ++set) {
+    matched.insert_or_assign(set->first, set->second);
+  }
+  auto del = omap_.dels.lower_bound(prefix);
+  for (; del != omap_.dels.end() && in_range(*del); ++del) {
+    matched.erase(*del);
   }
   return matched;
 }
 
-void TxnObject::OmapSet(const std::string& key, std::string value) {
-  omap_[key] = std::move(value);
+void TxnObject::OmapSet(std::string key, std::string value) {
+  omap_.Set(std::move(key), std::move(value));
 }
 
-void TxnObject::OmapDel(const std::string& key) { omap_[key] = std::nullopt; }
+void TxnObject::OmapDel(const std::string& key) { omap_.Del(key); }
 
-void TxnObject::XattrSet(const std::string& key, std::string value) {
-  xattrs_[key] = std::move(value);
+void TxnObject::XattrSet(std::string key, std::string value) {
+  xattrs_.Set(std::move(key), std::move(value));
 }
 
-void TxnObject::SnapSet(const std::string& name, mal::Buffer snap) {
-  snaps_[name] = std::move(snap);
+void TxnObject::SnapSet(std::string name, mal::Buffer snap) {
+  snaps_.Set(std::move(name), std::move(snap));
 }
 
 bool TxnObject::SnapRemove(const std::string& name) {
   if (SnapFind(name) == nullptr) {
     return false;
   }
-  snaps_[name] = std::nullopt;
+  snaps_.Del(name);
   return true;
+}
+
+namespace {
+
+// Moves `overlay` into `target`: tombstoned keys are erased, staged nodes
+// are spliced in. A key that sorts after the target's last key is linked at
+// the end without a tree descent; any other key costs one descent, whose
+// result is the insertion hint. When `bytes` is set it tracks the footprint
+// (key + value sizes) of the entries added and removed.
+template <typename V>
+void SpliceInto(std::map<std::string, V>* target, MapOverlay<V>* overlay, uint64_t* bytes) {
+  for (const std::string& key : overlay->dels) {
+    auto it = target->find(key);
+    if (it != target->end()) {
+      if (bytes != nullptr) {
+        *bytes -= key.size() + it->second.size();
+      }
+      target->erase(it);
+    }
+  }
+  while (!overlay->sets.empty()) {
+    auto node = overlay->sets.extract(overlay->sets.begin());
+    if (bytes != nullptr) {
+      *bytes += node.key().size() + node.mapped().size();
+    }
+    auto hint = target->end();
+    if (!target->empty() && !(target->rbegin()->first < node.key())) {
+      hint = target->lower_bound(node.key());
+      if (hint != target->end() && hint->first == node.key()) {
+        if (bytes != nullptr) {
+          *bytes -= hint->first.size() + hint->second.size();
+        }
+        hint->second = std::move(node.mapped());
+        continue;
+      }
+    }
+    target->insert(hint, std::move(node));
+  }
+}
+
+}  // namespace
+
+void TxnObject::MoveInto(Object* target, uint64_t* omap_bytes) && {
+  target->data = std::move(data_);
+  SpliceInto(&target->omap, &omap_, omap_bytes);
+  SpliceInto(&target->xattrs, &xattrs_, nullptr);
+  SpliceInto(&target->snapshots, &snaps_, nullptr);
 }
 
 std::optional<Object> TxnObject::Materialize() const {
@@ -192,34 +213,13 @@ std::optional<Object> TxnObject::Materialize() const {
     return std::nullopt;
   }
   Object out;
-  out.data = data_;
-  out.version = version_;
   if (base_visible()) {
     out.omap = base_->omap;
     out.xattrs = base_->xattrs;
     out.snapshots = base_->snapshots;
   }
-  for (const auto& [k, v] : omap_) {
-    if (v) {
-      out.omap[k] = *v;
-    } else {
-      out.omap.erase(k);
-    }
-  }
-  for (const auto& [k, v] : xattrs_) {
-    if (v) {
-      out.xattrs[k] = *v;
-    } else {
-      out.xattrs.erase(k);
-    }
-  }
-  for (const auto& [k, v] : snaps_) {
-    if (v) {
-      out.snapshots[k] = *v;
-    } else {
-      out.snapshots.erase(k);
-    }
-  }
+  TxnObject(*this).MoveInto(&out, /*omap_bytes=*/nullptr);
+  out.version = version_;
   return out;
 }
 
@@ -291,48 +291,12 @@ uint64_t ObjectStore::RecomputeBytesUsed() const {
   return total;
 }
 
-void ObjectStore::CommitInPlace(Object* object, const TxnObject& staged) {
-  bytes_used_ += staged.data().size();
-  bytes_used_ -= object->data.size();
-  object->data = staged.data();  // O(1): COW assignment
-  for (const auto& [k, v] : staged.omap_overlay()) {
-    auto it = object->omap.find(k);
-    if (it != object->omap.end()) {
-      bytes_used_ -= k.size() + it->second.size();
-      if (v) {
-        bytes_used_ += k.size() + v->size();
-        it->second = *v;
-      } else {
-        object->omap.erase(it);
-      }
-    } else if (v) {
-      bytes_used_ += k.size() + v->size();
-      object->omap.emplace(k, *v);
-    }
-  }
-  for (const auto& [k, v] : staged.xattr_overlay()) {
-    if (v) {
-      object->xattrs[k] = *v;
-    } else {
-      object->xattrs.erase(k);
-    }
-  }
-  for (const auto& [k, v] : staged.snap_overlay()) {
-    if (v) {
-      object->snapshots[k] = *v;
-    } else {
-      object->snapshots.erase(k);
-    }
-  }
-  ++object->version;
-}
-
 TxnObject ObjectStore::Stage(const std::string& oid) const {
   auto it = objects_.find(oid);
   return TxnObject(it == objects_.end() ? nullptr : &it->second);
 }
 
-void ObjectStore::Commit(const std::string& oid, const TxnObject& staged, bool removed,
+void ObjectStore::Commit(const std::string& oid, TxnObject&& staged, bool removed,
                          bool mutated) {
   // The store owns every object Stage() hands out as a base.
   Object* base = const_cast<Object*>(staged.base());
@@ -347,62 +311,32 @@ void ObjectStore::Commit(const std::string& oid, const TxnObject& staged, bool r
     return;
   }
   if (staged.base_visible()) {
-    CommitInPlace(base, staged);
+    bytes_used_ += staged.data().size();
+    bytes_used_ -= base->data.size();
+    std::move(staged).MoveInto(base, &bytes_used_);
+    ++base->version;
     return;
   }
   // New object, or removed-and-recreated within the transaction: the
   // overlays hold the entire state.
-  std::optional<Object> built = staged.Materialize();
-  ++built->version;
+  Object built;
+  uint64_t built_bytes = staged.data().size();
+  built.version = staged.version() + 1;
+  std::move(staged).MoveInto(&built, &built_bytes);
   if (base != nullptr) {
     bytes_used_ -= Footprint(*base);
   }
-  bytes_used_ += Footprint(*built);
-  objects_.insert_or_assign(oid, std::move(*built));
+  bytes_used_ += built_bytes;
+  objects_.insert_or_assign(oid, std::move(built));
 }
 
-mal::Status ObjectStore::ApplyTransaction(const std::string& oid, const std::vector<Op>& ops,
-                                          std::vector<OpResult>* results) {
-  results->clear();
-  results->resize(ops.size());
+namespace {
 
-  // Stage: a delta view over the single target object. All ops execute
-  // against the staged deltas; commit folds them in only if every op
-  // succeeded. The committed object is never touched before commit, so an
-  // abort is simply "return" — all-or-nothing without a full-object clone.
-  TxnObject staged = Stage(oid);
-  bool removed = false;
-  bool mutated = false;
-
-  for (size_t i = 0; i < ops.size(); ++i) {
-    mutated = mutated || IsMutating(ops[i].type);
-    removed = removed || ops[i].type == Op::Type::kRemove;
-    mal::Status s = ApplyOp(oid, ops[i], &staged, &(*results)[i]);
-    (*results)[i].status = s;
-    if (!s.ok()) {
-      return s;  // abort: nothing applied
-    }
-  }
-  Commit(oid, staged, removed, mutated);
-  return mal::Status::Ok();
-}
-
-mal::Status ObjectStore::ApplyOp(const std::string& oid, const Op& op, TxnObject* object,
-                                 OpResult* result) {
-  if (op.type == Op::Type::kExec) {
-    return mal::Status::Internal("kExec must be expanded by the class runtime");
-  }
-  if (op.type != Op::Type::kRemove) {
-    return ApplyOp(op, object, result);
-  }
-  if (!object->exists()) {
-    return mal::Status::NotFound("object " + oid);
-  }
-  object->Remove();
-  return mal::Status::Ok();
-}
-
-mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* result) {
+// The one op interpreter behind every ApplyOp form and both ApplyTransaction
+// forms. `OpRef` is `const Op&`, whose key and value are copied into the
+// overlay, or `Op` (an rvalue), whose key and value are moved there.
+template <typename OpRef>
+mal::Status ApplyPrimitive(OpRef&& op, TxnObject* object, OpResult* result) {
   auto require = [&]() -> mal::Status {
     if (!object->exists()) {
       return mal::Status::NotFound("object does not exist");
@@ -478,7 +412,7 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
 
     case Op::Type::kOmapSet:
       object->Create();
-      object->OmapSet(op.key, op.value);
+      object->OmapSet(std::forward<OpRef>(op).key, std::forward<OpRef>(op).value);
       return mal::Status::Ok();
 
     case Op::Type::kOmapDel: {
@@ -516,7 +450,7 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
 
     case Op::Type::kXattrSet:
       object->Create();
-      object->XattrSet(op.key, op.value);
+      object->XattrSet(std::forward<OpRef>(op).key, std::forward<OpRef>(op).value);
       return mal::Status::Ok();
 
     case Op::Type::kCmpXattr: {
@@ -572,6 +506,75 @@ mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* resu
       return mal::Status::Internal("handled by caller");
   }
   return mal::Status::Internal("unknown op");
+}
+
+template <typename OpRef>
+mal::Status ApplyTxnOp(const std::string& oid, OpRef&& op, TxnObject* object,
+                       OpResult* result) {
+  if (op.type == Op::Type::kExec) {
+    return mal::Status::Internal("kExec must be expanded by the class runtime");
+  }
+  if (op.type != Op::Type::kRemove) {
+    return ApplyPrimitive(std::forward<OpRef>(op), object, result);
+  }
+  if (!object->exists()) {
+    return mal::Status::NotFound("object " + oid);
+  }
+  object->Remove();
+  return mal::Status::Ok();
+}
+
+// Hands a borrowed op on as a const lvalue and an owned one as an rvalue,
+// so one apply loop serves both ApplyTransaction forms.
+const Op& Pass(const Op& op) { return op; }
+Op&& Pass(Op& op) { return std::move(op); }
+
+template <typename OpVector>
+mal::Status RunTransaction(ObjectStore* store, const std::string& oid, OpVector& ops,
+                           std::vector<OpResult>* results) {
+  results->clear();
+  results->resize(ops.size());
+
+  // Stage: a delta view over the single target object. All ops execute
+  // against the staged deltas; commit folds them in only if every op
+  // succeeded. The committed object is never touched before commit, so an
+  // abort is simply "return" — all-or-nothing without a full-object clone.
+  TxnObject staged = store->Stage(oid);
+  bool removed = false;
+  bool mutated = false;
+
+  for (size_t i = 0; i < ops.size(); ++i) {
+    mutated = mutated || IsMutating(ops[i].type);
+    removed = removed || ops[i].type == Op::Type::kRemove;
+    mal::Status s = ApplyTxnOp(oid, Pass(ops[i]), &staged, &(*results)[i]);
+    (*results)[i].status = s;
+    if (!s.ok()) {
+      return s;  // abort: nothing applied
+    }
+  }
+  store->Commit(oid, std::move(staged), removed, mutated);
+  return mal::Status::Ok();
+}
+
+}  // namespace
+
+mal::Status ObjectStore::ApplyOp(const std::string& oid, const Op& op, TxnObject* object,
+                                 OpResult* result) {
+  return ApplyTxnOp(oid, op, object, result);
+}
+
+mal::Status ObjectStore::ApplyOp(const Op& op, TxnObject* object, OpResult* result) {
+  return ApplyPrimitive(op, object, result);
+}
+
+mal::Status ObjectStore::ApplyTransaction(const std::string& oid, const std::vector<Op>& ops,
+                                          std::vector<OpResult>* results) {
+  return RunTransaction(this, oid, ops, results);
+}
+
+mal::Status ObjectStore::ApplyTransaction(const std::string& oid, std::vector<Op>&& ops,
+                                          std::vector<OpResult>* results) {
+  return RunTransaction(this, oid, ops, results);
 }
 
 }  // namespace mal::osd

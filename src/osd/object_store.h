@@ -13,15 +13,18 @@
 // Transactions stage per-field deltas (TxnObject) instead of cloning the
 // whole object: the bytestream is a COW Buffer alias, the omap / xattr /
 // snapshot maps are sparse overlays over the committed object, and commit
-// replays just the deltas. A transaction therefore costs O(bytes it
-// touches), not O(object size) — the difference between O(1) and O(n)
-// per append on a CORFU-style stripe object that only grows.
+// splices the staged map nodes into the object. A transaction therefore
+// costs O(bytes it touches), not O(object size) — the difference between
+// O(1) and O(n) per append on a CORFU-style stripe object that only grows —
+// and a stored entry is built once and moved, never copied, on its way in
+// (docs/data_plane.md, "Move-through commits").
 #ifndef MALACOLOGY_OSD_OBJECT_STORE_H_
 #define MALACOLOGY_OSD_OBJECT_STORE_H_
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,12 +97,49 @@ struct OpResult {
   mal::Buffer out;
 };
 
+// A transaction's sparse delta over one committed map: staged entries in
+// the committed map's own node type, so that commit splices the nodes in
+// instead of copying them, plus tombstones for deleted keys. A key is in at
+// most one of the two.
+template <typename V>
+struct MapOverlay {
+  std::map<std::string, V> sets;
+  std::set<std::string> dels;
+
+  void Set(std::string key, V value) {
+    dels.erase(key);
+    sets.insert_or_assign(std::move(key), std::move(value));
+  }
+  void Del(const std::string& key) {
+    sets.erase(key);
+    dels.insert(key);
+  }
+  void clear() {
+    sets.clear();
+    dels.clear();
+  }
+  // Overlay-over-`base` lookup (`base` is nullptr when no committed map is
+  // visible). A key that sorts after the base's last key costs the base no
+  // tree descent: append-only maps (ZLog stripes) look up mostly such keys.
+  const V* Find(const std::map<std::string, V>* base, const std::string& key) const {
+    if (auto it = sets.find(key); it != sets.end()) {
+      return &it->second;
+    }
+    if (base == nullptr || base->empty() || base->rbegin()->first < key ||
+        dels.count(key) != 0) {
+      return nullptr;
+    }
+    auto it = base->find(key);
+    return it == base->end() ? nullptr : &it->second;
+  }
+};
+
 // A transaction's staged view of one object: a COW alias of the bytestream
-// plus sparse overlays (key -> value, or key -> tombstone) over the
-// committed object's maps. Reads merge overlay-over-base; writes touch only
-// the overlay, so the committed object is untouched until commit and an
-// abort simply drops the TxnObject. `base` must outlive the TxnObject and
-// is never mutated through it; pass nullptr for a not-yet-existing object.
+// plus sparse overlays over the committed object's maps. Reads merge
+// overlay-over-base; writes touch only the overlays, so the committed object
+// is untouched until commit and an abort simply drops the TxnObject. `base`
+// must outlive the TxnObject and is never mutated through it; pass nullptr
+// for a not-yet-existing object.
 class TxnObject {
  public:
   explicit TxnObject(const Object* base);
@@ -123,16 +163,18 @@ class TxnObject {
   const mal::Buffer* SnapFind(const std::string& name) const;
   std::map<std::string, std::string> OmapList(const std::string& prefix) const;
 
-  void OmapSet(const std::string& key, std::string value);
+  // Setters take their arguments by value: callers that own a key or value
+  // move it into the overlay, and commit moves it on into the object.
+  void OmapSet(std::string key, std::string value);
   void OmapDel(const std::string& key);
-  void XattrSet(const std::string& key, std::string value);
-  void SnapSet(const std::string& name, mal::Buffer snap);
+  void XattrSet(std::string key, std::string value);
+  void SnapSet(std::string name, mal::Buffer snap);
   // Returns false if the snapshot does not exist (merged view).
   bool SnapRemove(const std::string& name);
 
   // Full object with overlays folded in (nullopt if the object does not
-  // exist). O(base size); used by commit-on-recreate, the cls scratch
-  // harness, and tests — the hot commit path applies deltas in place.
+  // exist). O(base size); used by the cls scratch harness and tests — the
+  // commit path moves the overlays into the store instead.
   std::optional<Object> Materialize() const;
 
   // True while reads still see the committed base object underneath the
@@ -141,22 +183,22 @@ class TxnObject {
   // The committed object this view was opened over (nullptr if absent).
   const Object* base() const { return base_; }
 
-  // Commit support: the sparse overlays (value = staged, nullopt = deleted).
-  using StringOverlay = std::map<std::string, std::optional<std::string>>;
-  using BufferOverlay = std::map<std::string, std::optional<mal::Buffer>>;
-  const StringOverlay& omap_overlay() const { return omap_; }
-  const StringOverlay& xattr_overlay() const { return xattrs_; }
-  const BufferOverlay& snap_overlay() const { return snaps_; }
-
  private:
+  friend class ObjectStore;
+
+  // Folds the staged state into `target` — the committed base, or an empty
+  // object when the base is not visible — splicing every overlay node in.
+  // Adds the change in omap footprint to `*omap_bytes` unless it is null.
+  void MoveInto(Object* target, uint64_t* omap_bytes) &&;
+
   const Object* base_ = nullptr;
   bool base_visible_ = true;
   bool exists_ = false;
   mal::Buffer data_;       // COW alias of base->data until first mutation
   uint64_t version_ = 0;
-  StringOverlay omap_;
-  StringOverlay xattrs_;
-  BufferOverlay snaps_;
+  MapOverlay<std::string> omap_;
+  MapOverlay<std::string> xattrs_;
+  MapOverlay<mal::Buffer> snaps_;
 };
 
 // The whole-store interface. Thread-free: the simulated OSD serializes all
@@ -171,6 +213,11 @@ class ObjectStore {
   // via the class runtime; the store rejects them here.
   mal::Status ApplyTransaction(const std::string& oid, const std::vector<Op>& ops,
                                std::vector<OpResult>* results);
+  // The same transaction over ops the caller gives up (a replica's decoded
+  // repop): omap and xattr keys and values move into the object instead of
+  // being copied. The ops are left moved-from.
+  mal::Status ApplyTransaction(const std::string& oid, std::vector<Op>&& ops,
+                               std::vector<OpResult>* results);
 
   // Opens a transaction's staged view of `oid` (one lookup). The view stays
   // valid until the object is committed, removed or replaced.
@@ -178,9 +225,10 @@ class ObjectStore {
   // Folds a successful transaction's staged view of `oid`, opened with
   // Stage() and not invalidated since, into the store: `removed` when the
   // transaction deleted the object, `mutated` when any op changed it (a
-  // read-only view commits nothing). Bumps the version and keeps
-  // bytes_used() in sync.
-  void Commit(const std::string& oid, const TxnObject& staged, bool removed, bool mutated);
+  // read-only view commits nothing). The view's overlay nodes are spliced
+  // into the object, not copied. Bumps the version and keeps bytes_used()
+  // in sync.
+  void Commit(const std::string& oid, TxnObject&& staged, bool removed, bool mutated);
 
   bool Exists(const std::string& oid) const { return objects_.count(oid) != 0; }
   mal::Result<const Object*> Get(const std::string& oid) const;
@@ -219,9 +267,6 @@ class ObjectStore {
   static mal::Status ApplyOp(const Op& op, TxnObject* object, OpResult* result);
 
  private:
-  // Folds the transaction's deltas into the committed object and bumps its
-  // version, keeping bytes_used_ in sync.
-  void CommitInPlace(Object* object, const TxnObject& staged);
   // data + omap footprint, the definition bytes_used() has always used.
   static uint64_t Footprint(const Object& object);
 

@@ -74,6 +74,33 @@ const char* OpTypeName(Op::Type type) {
   return "unknown";
 }
 
+constexpr size_t kNumOpTypes = static_cast<size_t>(Op::Type::kSnapRemove) + 1;
+
+struct OpCounterNames {
+  std::string count;
+  std::string latency_us;
+};
+
+// "osd.op.<type>.count" and ".latency_us" for `type`, or for an op-less
+// transaction ("empty") when `type` is null. Built once, so the op path
+// concatenates no counter names.
+const OpCounterNames& OpCounters(const Op::Type* type) {
+  static const std::vector<OpCounterNames> kNames = [] {
+    std::vector<OpCounterNames> names;
+    // One slot per type, then "unknown" (an undecodable type), then "empty".
+    for (size_t i = 0; i <= kNumOpTypes + 1; ++i) {
+      std::string label =
+          i == kNumOpTypes + 1 ? "empty" : OpTypeName(static_cast<Op::Type>(i));
+      names.push_back({"osd.op." + label + ".count", "osd.op." + label + ".latency_us"});
+    }
+    return names;
+  }();
+  if (type == nullptr) {
+    return kNames[kNumOpTypes + 1];
+  }
+  return kNames[std::min(static_cast<size_t>(*type), kNumOpTypes)];
+}
+
 }  // namespace
 
 Osd::Osd(sim::Simulator* simulator, sim::Network* network, uint32_t id,
@@ -275,10 +302,11 @@ mal::Status Osd::ExpandTransaction(const OsdOpRequest& req, TxnObject* staged,
           perf_.Inc(name, delta);
         }
       }
-      perf_.Inc("osd.cls." + op.cls_name + "." + op.method + ".count");
+      const ClsCounterNames& names = ClsCounters(op.cls_name, op.method);
+      perf_.Inc(names.count);
       // Charged execution cost of this method call (the CPU-model share
       // attributable to it: per-byte decode plus script surcharge).
-      perf_.Observe("osd.cls." + op.cls_name + "." + op.method + ".exec_us",
+      perf_.Observe(names.exec_us,
                     (config_.per_byte_cpu_ns * static_cast<double>(op.data.size()) +
                      (registry_.ScriptVersion(op.cls_name).empty()
                           ? 0.0
@@ -409,9 +437,10 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
     ++ops_served_;
     // Count the transaction under its first op's type (how Ceph labels a
     // multi-op MOSDOp), and every constituent op individually.
-    std::string op_type = req.ops.empty() ? "empty" : OpTypeName(req.ops[0].type);
+    const OpCounterNames* txn_names =
+        &OpCounters(req.ops.empty() ? nullptr : &req.ops[0].type);
     for (const Op& op : req.ops) {
-      perf_.Inc(std::string("osd.op.") + OpTypeName(op.type) + ".count");
+      perf_.Inc(OpCounters(&op.type).count);
     }
     // One lookup and one execution: the staged view the expansion builds
     // is the one the primary commits.
@@ -424,8 +453,8 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
                                                      : "osd.txn_failures");
     }
 
-    auto send_reply = [this, request, results, arrival, op_type] {
-      perf_.Observe("osd.op." + op_type + ".latency_us",
+    auto send_reply = [this, request, results, arrival, txn_names] {
+      perf_.Observe(txn_names->latency_us,
                     static_cast<double>(Now() - arrival) / 1e3);
       OsdOpReply reply;
       reply.map_epoch = osd_map_.epoch;
@@ -447,7 +476,7 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
       return;
     }
 
-    store_.Commit(req.oid, staged, removed, /*mutated=*/true);
+    store_.Commit(req.oid, std::move(staged), removed, /*mutated=*/true);
     NotifyWatchers(req.oid);
 
     // Replicate the expanded transaction.
@@ -482,17 +511,36 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
 }
 
 void Osd::HandleRepOp(const sim::Envelope& request, OsdOpRequest req) {
+  // A replica is charged op_cpu_cost alone. That is what this path has
+  // always charged: the cost used to be computed as OpCost(req) in the same
+  // call that move-captured `req`, and GCC built the capture first, so the
+  // per-byte term saw no ops. Charging that term (ROADMAP, host-cost item,
+  // "Found while doing this") moves simulated results and is its own change.
+  sim::Time cost = config_.op_cpu_cost;
   sim::Envelope req_envelope = request;
-  AfterCpu(OpCost(req), [this, req = std::move(req), req_envelope] {
+  AfterCpu(cost, [this, req = std::move(req), req_envelope]() mutable {
     perf_.Inc("osd.repop.count");
     std::vector<OpResult> results;
-    mal::Status s = store_.ApplyTransaction(req.oid, req.ops, &results);
+    // The decoded ops are ours: their keys and values move into the store.
+    mal::Status s = store_.ApplyTransaction(req.oid, std::move(req.ops), &results);
     if (!s.ok()) {
       ReplyError(req_envelope, s);
       return;
     }
     Reply(req_envelope, mal::Buffer());
   });
+}
+
+const Osd::ClsCounterNames& Osd::ClsCounters(const std::string& cls_name,
+                                              const std::string& method) {
+  auto& by_method = cls_counter_names_[cls_name];
+  auto it = by_method.find(method);
+  if (it == by_method.end()) {
+    std::string prefix = "osd.cls." + cls_name + "." + method;
+    ClsCounterNames names{prefix + ".count", prefix + ".exec_us"};
+    it = by_method.emplace(method, std::move(names)).first;
+  }
+  return it->second;
 }
 
 void Osd::AdoptMap(const mon::OsdMap& map, bool gossip) {

@@ -158,6 +158,14 @@ class Osd : public sim::Actor {
   mal::Status ExpandTransaction(const OsdOpRequest& req, TxnObject* staged,
                                 std::vector<OpResult>* results, std::vector<Op>* expanded);
 
+  // "osd.cls.<cls>.<method>.count" and ".exec_us", built on the method's
+  // first call so an exec concatenates no counter names.
+  struct ClsCounterNames {
+    std::string count;
+    std::string exec_us;
+  };
+  const ClsCounterNames& ClsCounters(const std::string& cls_name, const std::string& method);
+
   OsdConfig config_;
   svc::ServiceDispatcher dispatcher_{this};
   mon::MonClient mon_client_;
@@ -167,6 +175,7 @@ class Osd : public sim::Actor {
   cls::ClassRegistry registry_;
   mal::Rng rng_;
   mal::PerfRegistry perf_;
+  std::map<std::string, std::map<std::string, ClsCounterNames>> cls_counter_names_;
   uint64_t ops_served_ = 0;
   uint64_t scrub_repairs_ = 0;
   bool rejoining_ = false;

@@ -1,7 +1,6 @@
 #include "src/zlog/log.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/mon/maps.h"
 
@@ -70,7 +69,7 @@ std::vector<View> Log::DecodeViews(const std::string& encoded, uint32_t default_
   return views;
 }
 
-std::string Log::ObjectFor(uint64_t position) const {
+const View& Log::ViewFor(uint64_t position) const {
   // Latest view whose base covers the position (views_ sorted by base_pos).
   const View* view = &views_.front();
   for (const View& candidate : views_) {
@@ -78,23 +77,26 @@ std::string Log::ObjectFor(uint64_t position) const {
       view = &candidate;
     }
   }
-  uint64_t index = (position - view->base_pos) % view->width;
-  if (view->epoch == 0) {
+  return *view;
+}
+
+std::string Log::ObjectName(const View& view, uint64_t index) const {
+  if (view.epoch == 0) {
     return options_.name + "." + std::to_string(index);
   }
-  return options_.name + ".v" + std::to_string(view->epoch) + "." + std::to_string(index);
+  return options_.name + ".v" + std::to_string(view.epoch) + "." + std::to_string(index);
+}
+
+std::string Log::ObjectFor(uint64_t position) const {
+  const View& view = ViewFor(position);
+  return ObjectName(view, (position - view.base_pos) % view.width);
 }
 
 std::vector<std::string> Log::AllObjects() const {
   std::vector<std::string> objects;
   for (const View& view : views_) {
     for (uint32_t i = 0; i < view.width; ++i) {
-      if (view.epoch == 0) {
-        objects.push_back(options_.name + "." + std::to_string(i));
-      } else {
-        objects.push_back(options_.name + ".v" + std::to_string(view.epoch) + "." +
-                          std::to_string(i));
-      }
+      objects.push_back(ObjectName(view, i));
     }
   }
   return objects;
@@ -307,24 +309,34 @@ void Log::BatchAttempt(std::shared_ptr<Batch> batch, std::vector<size_t> indices
         }
         // Assign the grant [first, first+n) and group entries by stripe
         // object: each OSD receives ONE transaction carrying all of its
-        // entries for this batch.
-        std::map<std::string, std::vector<cls::ZlogOps::BatchEntry>> per_object;
-        std::map<std::string, std::vector<size_t>> object_indices;
-        for (size_t i = 0; i < indices.size(); ++i) {
-          uint64_t pos = first + i;
-          batch->positions[indices[i]] = pos;
-          std::string oid = ObjectFor(pos);
-          per_object[oid].push_back({pos, batch->entries[indices[i]]});
-          object_indices[oid].push_back(indices[i]);
-        }
+        // entries for this batch. The grant is contiguous, so walk it view
+        // by view: inside a view, consecutive positions cycle through the
+        // stripe, and the position's offset from the view's first granted
+        // position, mod the width, picks its group. Each target oid is built
+        // once.
         std::vector<rados::RadosClient::TargetedOp> ops;
         std::vector<std::vector<size_t>> op_entries;  // parallel to ops
-        ops.reserve(per_object.size());
-        for (auto& [oid, batch_entries] : per_object) {
-          ops.push_back({oid, rados::RadosClient::MakeExecOp(
-                                  "zlog", "write_batch",
-                                  cls::ZlogOps::MakeWriteBatch(epoch_, batch_entries))});
-          op_entries.push_back(object_indices[oid]);
+        std::vector<std::vector<cls::ZlogOps::BatchEntry>> per_op;
+        for (size_t i = 0; i < indices.size();) {
+          const uint64_t view_first = first + i;
+          const View& view = ViewFor(view_first);
+          const size_t group0 = ops.size();
+          for (; i < indices.size() && &ViewFor(first + i) == &view; ++i) {
+            const uint64_t pos = first + i;
+            const size_t group = group0 + (pos - view_first) % view.width;
+            if (group == ops.size()) {
+              ops.push_back({ObjectName(view, (pos - view.base_pos) % view.width), {}});
+              op_entries.emplace_back();
+              per_op.emplace_back();
+            }
+            batch->positions[indices[i]] = pos;
+            per_op[group].push_back({pos, batch->entries[indices[i]]});
+            op_entries[group].push_back(indices[i]);
+          }
+        }
+        for (size_t j = 0; j < ops.size(); ++j) {
+          ops[j].op = rados::RadosClient::MakeExecOp(
+              "zlog", "write_batch", cls::ZlogOps::MakeWriteBatch(epoch_, per_op[j]));
         }
         rados_->ExecuteTargeted(
             std::move(ops),

@@ -144,6 +144,9 @@ class Log {
                     svc::Backoff backoff);
   void FinishBatch(std::shared_ptr<Batch> batch, mal::Status status);
   void RefreshEpoch(DoneHandler on_done);
+  // The view that maps `position`, and the name of a view's stripe object.
+  const View& ViewFor(uint64_t position) const;
+  std::string ObjectName(const View& view, uint64_t index) const;
   // Every object of every view (the set recovery must seal).
   std::vector<std::string> AllObjects() const;
   // Seals every object at `new_epoch`, returns max tail; then installs

@@ -3,6 +3,8 @@
 // deep dive on cls_zlog (the CORFU storage interface).
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <optional>
 
@@ -50,6 +52,15 @@ TEST(ClsZlogTest, WriteOnceSemantics) {
   mal::Decoder dec(r.value());
   EXPECT_EQ(dec.GetU8(), static_cast<uint8_t>(ZlogEntryState::kWritten));
   EXPECT_EQ(dec.GetString(), "a");
+}
+
+TEST(ClsZlogTest, EntryKeyMatchesThePrintfLayout) {
+  for (uint64_t pos :
+       {uint64_t{0}, uint64_t{9}, uint64_t{10}, uint64_t{1} << 32, UINT64_MAX}) {
+    char expected[32];
+    std::snprintf(expected, sizeof(expected), "entry.%020" PRIu64, pos);
+    EXPECT_EQ(ZlogOps::EntryKey(pos), expected);
+  }
 }
 
 TEST(ClsZlogTest, ReadUnwrittenReportsNotWritten) {
@@ -265,6 +276,26 @@ TEST(ClsContextTest, EffectsMirrorMutations) {
   ASSERT_TRUE(replica.has_value());
   EXPECT_EQ(replica->omap, h.object->omap);
   EXPECT_EQ(replica->xattrs, h.object->xattrs);
+}
+
+TEST(ClsContextTest, OmapHasSeesStagedSetsAndDeletes) {
+  osd::Object base;
+  base.omap["committed"] = "1";
+  osd::TxnObject staged(&base);
+  std::vector<osd::Op> effects;
+  ClsContext ctx("obj", &staged, &effects);
+  EXPECT_TRUE(ctx.OmapHas("committed"));
+  EXPECT_FALSE(ctx.OmapHas("staged"));
+  EXPECT_FALSE(ctx.OmapHas("zzz"));  // sorts after every committed key
+  ASSERT_TRUE(ctx.OmapSet("staged", "2").ok());
+  ASSERT_TRUE(ctx.OmapDel("committed").ok());
+  EXPECT_TRUE(ctx.OmapHas("staged"));
+  EXPECT_FALSE(ctx.OmapHas("committed"));
+  // The recorded effects carry their own copies of what moved into the view.
+  ASSERT_EQ(effects.size(), 2u);
+  EXPECT_EQ(effects[0].key, "staged");
+  EXPECT_EQ(effects[0].value, "2");
+  EXPECT_EQ(base.omap.size(), 1u);  // the committed object is untouched
 }
 
 TEST(ClsContextTest, FailedMethodLeavesObjectUntouched) {

@@ -512,6 +512,58 @@ TEST(PerfRegistryTest, CountersGaugesHistograms) {
   ASSERT_EQ(snap.histograms.at("lat_us").samples().size(), 2u);
 }
 
+TEST(PerfRegistryTest, LiteralViewAndStringNamesHitOneEntry) {
+  PerfRegistry reg;
+  const std::string owned = "osd.op.read.count";
+  const std::string longer = "osd.op.read.count.tail";
+  reg.Inc("osd.op.read.count");
+  reg.Inc(std::string_view("osd.op.read.count"), 2);
+  reg.Inc(owned, 3);
+  reg.Inc(std::string_view(longer).substr(0, owned.size()), 4);
+  EXPECT_EQ(reg.counter("osd.op.read.count"), 10u);
+  EXPECT_EQ(reg.counter(owned), 10u);
+  reg.Set("depth", 1);
+  reg.Set(std::string("depth"), 2);
+  reg.Observe("lat_us", 1);
+  reg.Observe(std::string_view("lat_us"), 2);
+  EXPECT_DOUBLE_EQ(reg.gauge(std::string_view("depth")), 2);
+  ASSERT_NE(reg.histogram("lat_us"), nullptr);
+  EXPECT_EQ(reg.histogram("lat_us")->count(), 2u);
+  PerfSnapshot snap = reg.Snapshot("osd.0", 1);
+  EXPECT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.histograms.size(), 1u);
+}
+
+// Golden bytes for a fixed registry, recorded from the registry before its
+// maps took heterogeneous lookups: the name order, the values and the
+// encoding must not move.
+TEST(PerfSnapshotTest, GoldenRegistryEncodeBytes) {
+  PerfRegistry reg;
+  reg.Inc("osd.op.write.count", 3);
+  reg.Inc("osd.op.read.count");
+  reg.Inc("B", 7);
+  reg.Inc("a");
+  reg.Inc("osd.op.read.count", 2);
+  reg.Inc("osd.cls.zlog.write_batch.count", 16);
+  reg.Set("osd.map_epoch", 12);
+  reg.Set("depth", 0.25);
+  for (int i = 0; i < 40; ++i) {
+    reg.Observe("osd.op.read.latency_us", 1.5 + i * 0.75);
+    reg.Observe("osd.cls.zlog.write_batch.exec_us", (i % 5) * 0.125);
+  }
+  PerfSnapshot snap = reg.Snapshot("osd.3", 777);
+  Buffer wire;
+  snap.Encode(&wire);
+  std::string bytes = wire.ToString();
+  uint64_t fnv = 1469598103934665603ULL;
+  for (unsigned char c : bytes) {
+    fnv = (fnv ^ c) * 1099511628211ULL;
+  }
+  EXPECT_EQ(bytes.size(), 911u);
+  EXPECT_EQ(fnv, 0xfc71efa0667f588dULL);
+}
+
 TEST(PerfSnapshotTest, EncodeDecodeRoundTrip) {
   PerfRegistry reg;
   reg.Inc("mon.paxos.commits", 7);

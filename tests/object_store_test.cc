@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -444,7 +445,7 @@ Status StageAndCommit(ObjectStore* store, const std::string& oid, const std::vec
       return s;
     }
   }
-  store->Commit(oid, staged, removed, mutated);
+  store->Commit(oid, std::move(staged), removed, mutated);
   return Status::Ok();
 }
 
@@ -514,6 +515,144 @@ TEST(ObjectStoreTest, StagedCommitMatchesApplyTransaction) {
   EXPECT_EQ(a->xattrs, b->xattrs);
   EXPECT_EQ(a->version, b->version);
   EXPECT_EQ(a->version, 3u);  // the read-only transaction bumped nothing
+}
+
+// ---- move-through commits: the split omap overlay ---------------------------
+
+Op OmapSetOp(const std::string& key, const std::string& value) {
+  Op op = MakeOp(Op::Type::kOmapSet);
+  op.key = key;
+  op.value = value;
+  return op;
+}
+
+Op OmapDelOp(const std::string& key) {
+  Op op = MakeOp(Op::Type::kOmapDel);
+  op.key = key;
+  return op;
+}
+
+std::string EncodedObject(const ObjectStore& store, const std::string& oid) {
+  mal::Buffer out;
+  mal::Encoder enc(&out);
+  store.Get(oid).value()->Encode(&enc);
+  return out.ToString();
+}
+
+TEST(ObjectStoreTest, SetDelSetOfOneKeyInOneTransaction) {
+  ObjectStore store;
+  std::vector<OpResult> results;
+  ASSERT_TRUE(store.ApplyTransaction("obj", {OmapSetOp("k", "base")}, &results).ok());
+  // Once on a key the committed object holds, once on one it does not.
+  for (const std::string key : {"k", "fresh"}) {
+    TxnObject staged = store.Stage("obj");
+    staged.OmapSet(key, "first");
+    ASSERT_NE(staged.OmapFind(key), nullptr);
+    EXPECT_EQ(*staged.OmapFind(key), "first");
+    staged.OmapDel(key);
+    EXPECT_EQ(staged.OmapFind(key), nullptr);
+    EXPECT_TRUE(staged.OmapList("").count(key) == 0);
+    staged.OmapSet(key, "final");
+    ASSERT_NE(staged.OmapFind(key), nullptr);
+    EXPECT_EQ(*staged.OmapFind(key), "final");
+    store.Commit("obj", std::move(staged), /*removed=*/false, /*mutated=*/true);
+    EXPECT_EQ(store.Get("obj").value()->omap.at(key), "final");
+    EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+
+    // The same through ApplyTransaction, ending on the delete.
+    std::vector<Op> txn = {OmapSetOp(key, "again"), OmapDelOp(key), OmapSetOp(key, "last"),
+                           OmapDelOp(key)};
+    ASSERT_TRUE(store.ApplyTransaction("obj", txn, &results).ok());
+    EXPECT_EQ(store.Get("obj").value()->omap.count(key), 0u);
+    EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+  }
+  EXPECT_TRUE(store.Get("obj").value()->omap.empty());
+  EXPECT_EQ(store.bytes_used(), 0u);
+}
+
+TEST(ObjectStoreTest, DeletedBaseKeyLeavesThePrefixList) {
+  ObjectStore store;
+  std::vector<OpResult> results;
+  std::vector<Op> load = {OmapSetOp("p.a", "1"), OmapSetOp("p.b", "2"), OmapSetOp("q.a", "3")};
+  ASSERT_TRUE(store.ApplyTransaction("obj", load, &results).ok());
+  Op list = MakeOp(Op::Type::kOmapList);
+  list.key = "p.";
+  std::vector<Op> txn = {OmapDelOp("p.a"), OmapSetOp("p.c", "4"), list};
+  ASSERT_TRUE(store.ApplyTransaction("obj", txn, &results).ok());
+  mal::Decoder dec(results[2].out);
+  std::map<std::string, std::string> expected = {{"p.b", "2"}, {"p.c", "4"}};
+  EXPECT_EQ(DecodeStringMap(&dec), expected);
+  // The committed object agrees with what the transaction listed.
+  expected["q.a"] = "3";
+  EXPECT_EQ(store.Get("obj").value()->omap, expected);
+  EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+}
+
+TEST(ObjectStoreTest, OutOfOrderCommitsSpliceEveryKey) {
+  // Each transaction's keys land before, between, on and after the keys the
+  // object already holds: commits whose insertion hint misses, commits past
+  // the end, overwrites and deletes.
+  ObjectStore store;
+  std::vector<OpResult> results;
+  std::map<std::string, std::string> model;
+  const std::vector<std::vector<Op>> txns = {
+      {OmapSetOp("k05", "a"), OmapSetOp("k09", "b")},
+      {OmapSetOp("k12", "c"), OmapSetOp("k15", "d")},
+      {OmapSetOp("k01", "e")},
+      {OmapSetOp("k07", "f"), OmapSetOp("k20", "g"), OmapSetOp("k03", "h")},
+      {OmapSetOp("k09", "a-longer-value"), OmapSetOp("k05", "")},
+      {OmapDelOp("k07"), OmapSetOp("k08", "i"), OmapDelOp("k20"), OmapSetOp("k30", "j")},
+  };
+  for (const std::vector<Op>& txn : txns) {
+    ASSERT_TRUE(store.ApplyTransaction("obj", txn, &results).ok());
+    for (const Op& op : txn) {
+      if (op.type == Op::Type::kOmapSet) {
+        model[op.key] = op.value;
+      } else {
+        model.erase(op.key);
+      }
+    }
+    EXPECT_EQ(store.Get("obj").value()->omap, model);
+    EXPECT_EQ(store.bytes_used(), store.RecomputeBytesUsed());
+  }
+}
+
+TEST(ObjectStoreTest, MovedOpsCommitTheSameObjectAsBorrowedOps) {
+  // A replica hands its decoded ops over by rvalue; the store must build
+  // the object the const& path builds, byte for byte.
+  ObjectStore borrowed;
+  ObjectStore moved;
+  std::vector<OpResult> results;
+  Op write = MakeOp(Op::Type::kWriteFull);
+  write.data = mal::Buffer::FromString("payload");
+  Op append = MakeOp(Op::Type::kAppend);
+  append.data = mal::Buffer::FromString("+tail");
+  Op xattr = MakeOp(Op::Type::kXattrSet);
+  xattr.key = "owner";
+  xattr.value = "alice";
+  Op snap = MakeOp(Op::Type::kSnapCreate);
+  snap.key = "s1";
+  Op excl = MakeOp(Op::Type::kCreate);
+  excl.excl = true;
+  const std::vector<std::vector<Op>> txns = {
+      {MakeOp(Op::Type::kCreate), write, OmapSetOp("entry.09", "x"),
+       OmapSetOp("entry.02", "y")},
+      {append, xattr, OmapSetOp("entry.12", "z"), OmapSetOp("entry.05", "w")},
+      {snap, OmapDelOp("entry.02"), OmapSetOp("entry.09", "x2")},
+      {excl, OmapSetOp("never", "applied")},  // aborts: the object exists
+      {MakeOp(Op::Type::kRemove), MakeOp(Op::Type::kCreate), OmapSetOp("entry.01", "new")},
+      {append, OmapSetOp("entry.00", "first"), OmapSetOp("entry.99", "last")},
+  };
+  for (const std::vector<Op>& txn : txns) {
+    Status a = borrowed.ApplyTransaction("obj", txn, &results);
+    std::vector<Op> owned = txn;
+    Status b = moved.ApplyTransaction("obj", std::move(owned), &results);
+    EXPECT_EQ(a.code(), b.code());
+    EXPECT_EQ(EncodedObject(borrowed, "obj"), EncodedObject(moved, "obj"));
+    EXPECT_EQ(borrowed.bytes_used(), moved.bytes_used());
+    EXPECT_EQ(moved.bytes_used(), moved.RecomputeBytesUsed());
+  }
+  EXPECT_EQ(moved.Get("obj").value()->omap.size(), 3u);
 }
 
 // ---- placement ---------------------------------------------------------------

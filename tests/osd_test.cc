@@ -10,6 +10,7 @@
 #include "src/mon/monitor.h"
 #include "src/osd/osd.h"
 #include "src/rados/client.h"
+#include "src/sim/profiler.h"
 
 namespace mal {
 namespace {
@@ -583,6 +584,64 @@ TEST_F(OsdClusterFixture, MixedExecAndPrimitiveTransactionReplicatesExactly) {
   EXPECT_EQ(a->xattrs, b->xattrs);
   EXPECT_EQ(a->version, b->version);
   EXPECT_EQ(a->version, 2u);
+}
+
+TEST_F(OsdClusterFixture, ReplicaIsChargedTheFixedOpCostPerRepop) {
+  // A replica is charged op_cpu_cost per repop, without the per-byte term
+  // its primary pays: the charge the replication path has always made.
+  // Adding the term is a change to the simulated results of its own.
+  Start(4, /*replicas=*/2);
+  sim::Profiler profiler;
+  sim::ScopedProfiler scope(&profiler);
+  const std::string payload(64 * 1024, 'x');
+  ASSERT_TRUE(WriteFull("big", payload).ok());
+  Settle(1 * sim::kSecond);
+  auto acting = osd::OsdsForObject("big", client->rados.osd_map(), 2);
+  ASSERT_EQ(acting.size(), 2u);
+  const Osd& primary = *osds[acting[0]];
+  Osd& replica = *osds[acting[1]];
+  ASSERT_EQ(replica.perf().counter("osd.repop.count"), 1u);
+  const OsdConfig defaults;
+  EXPECT_EQ(profiler.Totals(replica.name().ToString()).cpu_ns,
+            static_cast<uint64_t>(defaults.op_cpu_cost));
+  EXPECT_EQ(profiler.Totals(primary.name().ToString()).cpu_ns,
+            static_cast<uint64_t>(defaults.op_cpu_cost) +
+                static_cast<uint64_t>(defaults.per_byte_cpu_ns * payload.size()));
+}
+
+TEST_F(OsdClusterFixture, OutOfOrderBatchesLeaveReplicasByteIdentical) {
+  // write_batch calls whose positions arrive out of order: the primary
+  // splices the class's staged entries, the replica its decoded repop ops,
+  // before, between and after the keys the stripe object already holds.
+  Start(3, /*replicas=*/2);
+  using cls::ZlogOps;
+  const std::vector<std::vector<uint64_t>> batches = {
+      {8, 12}, {0, 4}, {20, 16, 2}, {10, 6, 24}, {12, 14}};
+  for (const std::vector<uint64_t>& positions : batches) {
+    std::vector<ZlogOps::BatchEntry> entries;
+    for (uint64_t pos : positions) {
+      entries.push_back({pos, Buffer::FromString("entry-" + std::to_string(pos))});
+    }
+    Buffer input = ZlogOps::MakeWriteBatch(0, entries);
+    ASSERT_TRUE(Exec("stripe", "zlog", "write_batch", std::move(input)).ok());
+  }
+  Settle(2 * sim::kSecond);
+  auto holders = Holders("stripe");
+  ASSERT_EQ(holders.size(), 2u);
+  auto encoded = [&](uint32_t holder) {
+    Buffer out;
+    Encoder enc(&out);
+    osds[holder]->store().Get("stripe").value()->Encode(&enc);
+    return out.ToString();
+  };
+  EXPECT_EQ(encoded(holders[0]), encoded(holders[1]));
+  // Position 12 was taken by the first batch; its rewrite was refused.
+  const osd::Object* object = osds[holders[0]]->store().Get("stripe").value();
+  EXPECT_EQ(object->omap.size(), 11u);
+  EXPECT_EQ(object->omap.at(ZlogOps::EntryKey(12)).substr(1), "entry-12");
+  for (uint32_t holder : holders) {
+    EXPECT_EQ(osds[holder]->store().bytes_used(), osds[holder]->store().RecomputeBytesUsed());
+  }
 }
 
 TEST_F(OsdClusterFixture, NextOpReachesNewPrimaryAfterMarkDown) {
