@@ -23,15 +23,33 @@ uint64_t ParseU64(const std::string& s, uint64_t fallback = 0) {
 
 std::string U64ToString(uint64_t v) { return std::to_string(v); }
 
-// Reads the stored epoch (0 if never sealed) and rejects stale requests.
-mal::Result<uint64_t> CheckEpoch(ClsContext& ctx, uint64_t request_epoch) {
-  uint64_t stored = 0;
-  if (ctx.Exists()) {
-    auto e = ctx.XattrGet(kZlogEpochXattr);
-    if (e.ok()) {
-      stored = ParseU64(e.value());
-    }
+// The epoch sealed into `xattr` (0 if never sealed).
+uint64_t StoredEpoch(ClsContext& ctx, const char* xattr) {
+  if (!ctx.Exists()) {
+    return 0;
   }
+  auto e = ctx.XattrGet(xattr);
+  return e.ok() ? ParseU64(e.value()) : 0;
+}
+
+// Seals `epoch` into `xattr`, creating the object if needed. A seal must
+// advance the stored epoch.
+mal::Status SealEpoch(ClsContext& ctx, const char* xattr, uint64_t epoch) {
+  uint64_t stored = StoredEpoch(ctx, xattr);
+  if (epoch <= stored) {
+    return mal::Status::StaleEpoch("seal epoch " + U64ToString(epoch) +
+                                   " <= sealed epoch " + U64ToString(stored));
+  }
+  mal::Status s = ctx.Create(false);
+  if (!s.ok()) {
+    return s;
+  }
+  return ctx.XattrSet(xattr, U64ToString(epoch));
+}
+
+// Reads the stored zlog epoch and rejects stale requests.
+mal::Result<uint64_t> CheckEpoch(ClsContext& ctx, uint64_t request_epoch) {
+  uint64_t stored = StoredEpoch(ctx, kZlogEpochXattr);
   if (request_epoch < stored) {
     return mal::Status::StaleEpoch("request epoch " + U64ToString(request_epoch) +
                                    " < sealed epoch " + U64ToString(stored));
@@ -55,22 +73,7 @@ mal::Result<mal::Buffer> ZlogSeal(ClsContext& ctx, const mal::Buffer& input) {
   if (!dec.ok()) {
     return mal::Status::InvalidArgument("bad seal input");
   }
-  uint64_t stored = 0;
-  if (ctx.Exists()) {
-    auto e = ctx.XattrGet(kZlogEpochXattr);
-    if (e.ok()) {
-      stored = ParseU64(e.value());
-    }
-  }
-  if (epoch <= stored) {
-    return mal::Status::StaleEpoch("seal epoch " + U64ToString(epoch) +
-                                   " <= sealed epoch " + U64ToString(stored));
-  }
-  mal::Status s = ctx.Create(false);
-  if (!s.ok()) {
-    return s;
-  }
-  s = ctx.XattrSet(kZlogEpochXattr, U64ToString(epoch));
+  mal::Status s = SealEpoch(ctx, kZlogEpochXattr, epoch);
   if (!s.ok()) {
     return s;
   }
@@ -515,13 +518,7 @@ mal::Result<mal::Buffer> EcCheckEpoch(ClsContext& ctx, const mal::Buffer& input)
   if (!dec.ok()) {
     return mal::Status::InvalidArgument("bad ec.check_epoch input");
   }
-  uint64_t stored = 0;
-  if (ctx.Exists()) {
-    auto e = ctx.XattrGet(kEcEpochXattr);
-    if (e.ok()) {
-      stored = ParseU64(e.value());
-    }
-  }
+  uint64_t stored = StoredEpoch(ctx, kEcEpochXattr);
   if (epoch < stored) {
     return mal::Status::StaleEpoch("shard epoch " + U64ToString(epoch) +
                                    " < sealed epoch " + U64ToString(stored));
@@ -535,22 +532,7 @@ mal::Result<mal::Buffer> EcSeal(ClsContext& ctx, const mal::Buffer& input) {
   if (!dec.ok()) {
     return mal::Status::InvalidArgument("bad ec.seal input");
   }
-  uint64_t stored = 0;
-  if (ctx.Exists()) {
-    auto e = ctx.XattrGet(kEcEpochXattr);
-    if (e.ok()) {
-      stored = ParseU64(e.value());
-    }
-  }
-  if (epoch <= stored) {
-    return mal::Status::StaleEpoch("seal epoch " + U64ToString(epoch) +
-                                   " <= sealed epoch " + U64ToString(stored));
-  }
-  mal::Status s = ctx.Create(false);
-  if (!s.ok()) {
-    return s;
-  }
-  s = ctx.XattrSet(kEcEpochXattr, U64ToString(epoch));
+  mal::Status s = SealEpoch(ctx, kEcEpochXattr, epoch);
   if (!s.ok()) {
     return s;
   }

@@ -32,14 +32,7 @@ std::unique_ptr<zlog::Log> Client::OpenLog(zlog::LogOptions options) {
 }
 
 void Client::StartPerfReports(sim::Time interval) {
-  if (interval == 0) {
-    return;
-  }
-  StartPeriodic(interval, [this] {
-    if (!perf.empty()) {
-      rados.mon_client().ReportPerf(perf.Snapshot(name().ToString(), Now()));
-    }
-  });
+  rados.mon_client().StartPerfReports(interval, &perf);
 }
 
 void Client::HandleRequest(const sim::Envelope& request) {

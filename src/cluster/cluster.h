@@ -70,7 +70,8 @@ class Cluster {
   Client* NewClient(mds::MdsClientConfig mds_config = {});
 
   // Boots a background scrub/repair agent (entity "scrub.<n>") that walks
-  // every EC pool in the map. Settles until its RADOS handle is connected.
+  // every EC pool and every up OSD's replicated objects in the map. Settles
+  // until its RADOS handle is connected.
   scrub::Agent* NewScrubAgent(scrub::ScrubConfig config = {});
 
   sim::Simulator& simulator() { return simulator_; }

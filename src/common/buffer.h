@@ -173,6 +173,16 @@ class Encoder {
   Buffer* out_;
 };
 
+// Encodes one message (any type with `void Encode(Encoder*) const`) into a
+// fresh buffer.
+template <typename Msg>
+Buffer EncodeMessage(const Msg& msg) {
+  Buffer out;
+  Encoder enc(&out);
+  msg.Encode(&enc);
+  return out;
+}
+
 // Reads wire-encoded values from a Buffer. All getters are checked: reading
 // past the end flips the decoder into a failed state, and subsequent reads
 // return zero values. Callers check `ok()` once at the end.

@@ -94,13 +94,7 @@ void MdsDaemon::Boot() {
     }
   });
   rados_.set_perf(&perf_);
-  if (config_.perf_report_interval > 0) {
-    StartPeriodic(config_.perf_report_interval, [this] {
-      if (!perf_.empty()) {
-        mon_client_.ReportPerf(perf_.Snapshot(name().ToString(), Now()));
-      }
-    });
-  }
+  mon_client_.StartPerfReports(config_.perf_report_interval, &perf_);
 }
 
 void MdsDaemon::SetBalancerPolicy(std::shared_ptr<BalancerPolicy> policy) {
@@ -379,10 +373,7 @@ void MdsDaemon::HandleClientRequest(const sim::Envelope& request, ClientRequest 
 }
 
 void MdsDaemon::ReplyWithInode(const sim::Envelope& request, const MdsReply& reply) {
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  reply.Encode(&enc);
-  Reply(request, std::move(payload));
+  Reply(request, mal::EncodeMessage(reply));
 }
 
 void MdsDaemon::ExecuteRequest(const sim::Envelope& request, const ClientRequest& req) {

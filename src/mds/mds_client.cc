@@ -53,9 +53,7 @@ void MdsClient::RequestAttempt(const ClientRequest& request, ReplyHandler on_rep
     on_reply(mal::Status::Unavailable("mds unreachable"), MdsReply{});
     return;
   }
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  request.Encode(&enc);
+  mal::Buffer payload = mal::EncodeMessage(request);
   owner_->SendRequest(
       sim::EntityName::Mds(TargetFor(request.path)), kMsgClientRequest, std::move(payload),
       [this, request, on_reply = std::move(on_reply), backoff](

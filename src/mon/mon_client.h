@@ -49,10 +49,7 @@ class MonClient {
   // Submits a transaction; `on_done` fires after the transaction commits
   // through Paxos (or fails after exhausting retries).
   void SubmitTransaction(const Transaction& txn, AckHandler on_done) {
-    mal::Buffer payload;
-    mal::Encoder enc(&payload);
-    txn.Encode(&enc);
-    SendWithRetry(kMsgMonCommand, std::move(payload), MakeBackoff(),
+    SendWithRetry(kMsgMonCommand, mal::EncodeMessage(txn), MakeBackoff(),
                   [on_done = std::move(on_done)](mal::Status status, const sim::Envelope&) {
                     on_done(status);
                   });
@@ -72,10 +69,7 @@ class MonClient {
 
   void GetMap(MapKind kind, MapHandler on_map) {
     GetMapRequest req{kind};
-    mal::Buffer payload;
-    mal::Encoder enc(&payload);
-    req.Encode(&enc);
-    SendWithRetry(kMsgGetMap, std::move(payload), MakeBackoff(),
+    SendWithRetry(kMsgGetMap, mal::EncodeMessage(req), MakeBackoff(),
                   [on_map = std::move(on_map)](mal::Status status,
                                                const sim::Envelope& reply) {
                     if (!status.ok()) {
@@ -101,9 +95,7 @@ class MonClient {
   void GetMapAbove(MapKind kind, Epoch have_epoch,
                    std::function<Epoch(const MapUpdate&)> epoch_of, MapHandler on_map) {
     GetMapRequest req{kind};
-    mal::Buffer payload;
-    mal::Encoder enc(&payload);
-    req.Encode(&enc);
+    mal::Buffer payload = mal::EncodeMessage(req);
     GetMapAboveAttempt(std::move(payload), have_epoch, std::move(epoch_of), MakeBackoff(),
                        std::make_shared<BestMap>(), std::move(on_map));
   }
@@ -114,10 +106,7 @@ class MonClient {
     req.kind = kind;
     req.have_epoch = have_epoch;
     req.subscriber = owner_->name();
-    mal::Buffer payload;
-    mal::Encoder enc(&payload);
-    req.Encode(&enc);
-    SendWithRetry(kMsgSubscribe, std::move(payload), MakeBackoff(),
+    SendWithRetry(kMsgSubscribe, mal::EncodeMessage(req), MakeBackoff(),
                   [](mal::Status, const sim::Envelope&) {});
   }
 
@@ -129,11 +118,8 @@ class MonClient {
     entry.source = owner_->name().ToString();
     entry.severity = severity;
     entry.message = message;
-    mal::Buffer payload;
-    mal::Encoder enc(&payload);
-    entry.Encode(&enc);
     owner_->SendOneWay(sim::EntityName::Mon(mons_[pick_ % mons_.size()]), kMsgLogEntry,
-                       std::move(payload));
+                       mal::EncodeMessage(entry));
   }
 
   // Pushes a perf-counter snapshot to one monitor (fire-and-forget; the next
@@ -143,6 +129,19 @@ class MonClient {
     snapshot.Encode(&payload);
     owner_->SendOneWay(sim::EntityName::Mon(mons_[pick_ % mons_.size()]), kMsgPerfReport,
                        std::move(payload));
+  }
+
+  // Every `interval` (0 = never), pushes `perf`'s snapshot under the owner's
+  // name when it holds any counter. `perf` must outlive the owner's timers.
+  void StartPerfReports(sim::Time interval, const mal::PerfRegistry* perf) {
+    if (interval == 0) {
+      return;
+    }
+    owner_->StartPeriodic(interval, [this, perf] {
+      if (!perf->empty()) {
+        ReportPerf(perf->Snapshot(owner_->name().ToString(), owner_->Now()));
+      }
+    });
   }
 
   // Fetches the cluster-wide perf dump (JSON) from the monitor.
@@ -159,10 +158,7 @@ class MonClient {
   void QuerySeries(const QuerySeriesRequest& req,
                    std::function<void(mal::Status, std::vector<telemetry::Window>)>
                        on_windows) {
-    mal::Buffer payload;
-    mal::Encoder enc(&payload);
-    req.Encode(&enc);
-    SendWithRetry(kMsgQuerySeries, std::move(payload), MakeBackoff(),
+    SendWithRetry(kMsgQuerySeries, mal::EncodeMessage(req), MakeBackoff(),
                   [on_windows = std::move(on_windows)](mal::Status status,
                                                        const sim::Envelope& reply) {
                     std::vector<telemetry::Window> windows;

@@ -50,10 +50,7 @@ Monitor::Monitor(sim::Simulator* simulator, sim::Network* network, uint32_t id,
   paxos_ = std::make_unique<consensus::PaxosNode>(
       id, quorum_,
       [this](uint32_t peer, const consensus::PaxosMessage& msg) {
-        mal::Buffer payload;
-        mal::Encoder enc(&payload);
-        msg.Encode(&enc);
-        SendOneWay(sim::EntityName::Mon(peer), kMsgPaxos, std::move(payload));
+        SendOneWay(sim::EntityName::Mon(peer), kMsgPaxos, mal::EncodeMessage(msg));
       },
       [this](uint64_t, const mal::Buffer& value) { ApplyCommitted(value); });
   RegisterHandlers();
@@ -416,9 +413,7 @@ void Monitor::TelemetryTick() {
                      : t.severity == telemetry::HealthSeverity::kErr ? "ERROR"
                                                                      : "WARN";
     entry.message = t.text;
-    mal::Buffer payload;
-    mal::Encoder enc(&payload);
-    entry.Encode(&enc);
+    mal::Buffer payload = mal::EncodeMessage(entry);
     AppendClusterLog(std::move(entry));
     // Replicate the health edge to peer monitors like any log entry.
     for (uint32_t peer : quorum_) {

@@ -1,9 +1,12 @@
-// Wire messages for the OSD subsystem (envelope types 200-299).
+// Wire messages for the OSD subsystem (envelope types 200-299). Objects move
+// between OSDs only by pull: a primary's pull-on-miss, or a scrub repair
+// that tells a divergent replica to pull the primary's copy.
 #ifndef MALACOLOGY_OSD_MESSAGES_H_
 #define MALACOLOGY_OSD_MESSAGES_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/buffer.h"
@@ -16,10 +19,10 @@ enum MsgType : uint32_t {
   kMsgRepOp = 201,      // primary -> replica: expanded primitive transaction
   kMsgGossipMap = 202,  // osd -> osd one-way: current OSDMap (epidemic)
   kMsgPullObject = 203, // recovery: fetch a full object from a peer
-  kMsgScrub = 204,      // anti-entropy: compare object version/digest
+  kMsgScrubList = 204,  // scrub agent -> osd: list local replicated objects
   kMsgWatch = 205,      // client -> primary: (un)register a watch
   kMsgNotify = 206,     // primary -> watcher (one-way): object changed
-  kMsgPushObject = 207, // scrub repair: primary -> replica full object
+  kMsgScrubRepair = 207,  // scrub agent -> replica: pull the primary's copy
 };
 
 struct WatchRequest {
@@ -123,16 +126,49 @@ struct PullObjectRequest {
   static PullObjectRequest Decode(mal::Decoder* dec) { return {dec->GetString()}; }
 };
 
-struct ScrubRequest {
+// Reply to kMsgScrubList (the request has no payload): the OSD's replica
+// count, so the agent computes acting sets from its own map, and the
+// version of every local object that is not an EC shard, sorted by oid.
+struct ScrubListReply {
+  uint32_t replicas = 0;
+  std::vector<std::pair<std::string, uint64_t>> objects;  // (oid, version)
+
+  void Encode(mal::Encoder* enc) const {
+    enc->PutU32(replicas);
+    enc->PutVarU64(objects.size());
+    for (const auto& [oid, version] : objects) {
+      enc->PutString(oid);
+      enc->PutU64(version);
+    }
+  }
+  static ScrubListReply Decode(mal::Decoder* dec) {
+    ScrubListReply reply;
+    reply.replicas = dec->GetU32();
+    uint64_t n = dec->GetVarU64();
+    for (uint64_t i = 0; i < n && dec->ok(); ++i) {
+      std::string oid = dec->GetString();
+      reply.objects.emplace_back(std::move(oid), dec->GetU64());
+    }
+    return reply;
+  }
+};
+
+// kMsgScrubRepair: pull `oid` from `source` and install it only if the
+// pulled copy is at `version` (the primary version the agent confirmed).
+struct ScrubRepairRequest {
   std::string oid;
-  uint64_t version = 0;  // sender's version (0 = absent)
+  uint32_t source = 0;
+  uint64_t version = 0;
+
   void Encode(mal::Encoder* enc) const {
     enc->PutString(oid);
+    enc->PutU32(source);
     enc->PutU64(version);
   }
-  static ScrubRequest Decode(mal::Decoder* dec) {
-    ScrubRequest req;
+  static ScrubRepairRequest Decode(mal::Decoder* dec) {
+    ScrubRepairRequest req;
     req.oid = dec->GetString();
+    req.source = dec->GetU32();
     req.version = dec->GetU64();
     return req;
   }

@@ -30,51 +30,15 @@ bool AdoptableObject(const std::string& oid, const Object& object) {
   return std::to_string(h) == it->second;
 }
 
-const char* OpTypeName(Op::Type type) {
-  switch (type) {
-    case Op::Type::kCreate:
-      return "create";
-    case Op::Type::kRemove:
-      return "remove";
-    case Op::Type::kRead:
-      return "read";
-    case Op::Type::kWrite:
-      return "write";
-    case Op::Type::kWriteFull:
-      return "write_full";
-    case Op::Type::kAppend:
-      return "append";
-    case Op::Type::kTruncate:
-      return "truncate";
-    case Op::Type::kStat:
-      return "stat";
-    case Op::Type::kOmapGet:
-      return "omap_get";
-    case Op::Type::kOmapSet:
-      return "omap_set";
-    case Op::Type::kOmapDel:
-      return "omap_del";
-    case Op::Type::kOmapList:
-      return "omap_list";
-    case Op::Type::kXattrGet:
-      return "xattr_get";
-    case Op::Type::kXattrSet:
-      return "xattr_set";
-    case Op::Type::kCmpXattr:
-      return "cmp_xattr";
-    case Op::Type::kExec:
-      return "exec";
-    case Op::Type::kSnapCreate:
-      return "snap_create";
-    case Op::Type::kSnapRead:
-      return "snap_read";
-    case Op::Type::kSnapRemove:
-      return "snap_remove";
-  }
-  return "unknown";
-}
-
 constexpr size_t kNumOpTypes = static_cast<size_t>(Op::Type::kSnapRemove) + 1;
+
+// Counter labels by Op::Type value, then "unknown" (an undecodable type)
+// and "empty" (an op-less transaction).
+constexpr const char* kOpLabels[] = {
+    "create", "remove", "read", "write", "write_full", "append", "truncate", "stat",
+    "omap_get", "omap_set", "omap_del", "omap_list", "xattr_get", "xattr_set", "cmp_xattr",
+    "exec", "snap_create", "snap_read", "snap_remove", "unknown", "empty"};
+static_assert(sizeof(kOpLabels) / sizeof(kOpLabels[0]) == kNumOpTypes + 2);
 
 struct OpCounterNames {
   std::string count;
@@ -87,10 +51,7 @@ struct OpCounterNames {
 const OpCounterNames& OpCounters(const Op::Type* type) {
   static const std::vector<OpCounterNames> kNames = [] {
     std::vector<OpCounterNames> names;
-    // One slot per type, then "unknown" (an undecodable type), then "empty".
-    for (size_t i = 0; i <= kNumOpTypes + 1; ++i) {
-      std::string label =
-          i == kNumOpTypes + 1 ? "empty" : OpTypeName(static_cast<Op::Type>(i));
+    for (std::string label : kOpLabels) {
       names.push_back({"osd.op." + label + ".count", "osd.op." + label + ".latency_us"});
     }
     return names;
@@ -131,18 +92,18 @@ void Osd::RegisterHandlers() {
       kMsgPullObject, [this](const sim::Envelope& env, PullObjectRequest req) {
         HandlePull(env, std::move(req));
       });
-  dispatcher_.OnTyped<ScrubRequest>(
-      kMsgScrub, [this](const sim::Envelope& env, ScrubRequest req) {
-        HandleScrub(env, std::move(req));
+  dispatcher_.On(kMsgScrubList, [this](const sim::Envelope& env) { HandleScrubList(env); });
+  dispatcher_.OnTyped<ScrubRepairRequest>(
+      kMsgScrubRepair, [this](const sim::Envelope& env, ScrubRepairRequest req) {
+        HandleScrubRepair(env, std::move(req));
       });
   dispatcher_.OnTyped<WatchRequest>(
       kMsgWatch, [this](const sim::Envelope& env, WatchRequest req) {
         HandleWatch(env, std::move(req));
       });
-  // Raw handlers: gossip uses a Result-returning map decoder, push and map
-  // updates carry nested payloads with their own freshness checks.
+  // Raw handlers: gossip uses a Result-returning map decoder, map updates
+  // carry nested payloads with their own freshness checks.
   dispatcher_.On(kMsgGossipMap, [this](const sim::Envelope& env) { HandleGossip(env); });
-  dispatcher_.On(kMsgPushObject, [this](const sim::Envelope& env) { HandlePush(env); });
   dispatcher_.On(mon::kMsgMapUpdate,
                  [this](const sim::Envelope& env) { HandleMapUpdate(env); });
 }
@@ -171,16 +132,7 @@ void Osd::Boot() {
                          }
                        });
   }
-  if (config_.scrub_interval > 0) {
-    StartPeriodic(config_.scrub_interval, [this] { ScrubTick(); });
-  }
-  if (config_.perf_report_interval > 0) {
-    StartPeriodic(config_.perf_report_interval, [this] {
-      if (!perf_.empty()) {
-        mon_client_.ReportPerf(perf_.Snapshot(name().ToString(), Now()));
-      }
-    });
-  }
+  mon_client_.StartPerfReports(config_.perf_report_interval, &perf_);
   StartPeriodic(config_.gossip_interval, [this] {
     // Anti-entropy: push our map to one random up peer.
     std::vector<uint32_t> peers;
@@ -232,19 +184,6 @@ void Osd::CatchUpMap() {
 
 void Osd::HandleRequest(const sim::Envelope& request) {
   dispatcher_.Dispatch(request);
-}
-
-void Osd::HandlePush(const sim::Envelope& request) {
-  // Scrub repair: install the primary's authoritative copy.
-  mal::Decoder dec(request.payload);
-  std::string oid = dec.GetString();
-  Object object = Object::Decode(&dec);
-  if (dec.ok()) {
-    store_.Put(oid, std::move(object));
-    Reply(request, mal::Buffer());
-  } else {
-    ReplyError(request, mal::Status::Corruption("bad push payload"));
-  }
 }
 
 void Osd::HandleMapUpdate(const sim::Envelope& request) {
@@ -407,26 +346,19 @@ void Osd::PullThenExecute(const sim::Envelope& request, OsdOpRequest req,
     ExecuteOsdOp(request, std::move(req), std::move(acting));
     return;
   }
-  PullObjectRequest pull{req.oid};
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  pull.Encode(&enc);
-  SendRequest(sim::EntityName::Osd(candidates[index]), kMsgPullObject, std::move(payload),
-              [this, request, req, candidates, index, acting](
-                  mal::Status status, const sim::Envelope& reply) {
-                if (status.ok()) {
-                  mal::Decoder dec(reply.payload);
-                  Object pulled = Object::Decode(&dec);
-                  if (AdoptableObject(req.oid, pulled)) {
-                    store_.Put(req.oid, std::move(pulled));
-                    ExecuteOsdOp(request, req, acting);
-                    return;
-                  }
-                  // Corrupt shard offered: keep sweeping for a clean copy.
-                }
-                PullThenExecute(request, req, candidates, index + 1);
-              },
-              config_.pull_timeout);
+  uint32_t from = candidates[index];
+  RecoverObject(
+      from, req.oid, std::nullopt,
+      [this, request, req, candidates = std::move(candidates), index,
+       acting = std::move(acting)](mal::Status status) mutable {
+        if (status.ok()) {
+          ExecuteOsdOp(request, std::move(req), std::move(acting));
+          return;
+        }
+        // Absent, unreachable or a corrupt shard: keep sweeping for a copy.
+        PullThenExecute(request, std::move(req), std::move(candidates), index + 1);
+      },
+      config_.pull_timeout);
 }
 
 void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
@@ -459,10 +391,7 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
       OsdOpReply reply;
       reply.map_epoch = osd_map_.epoch;
       reply.results = std::move(*results);  // sent once
-      mal::Buffer payload;
-      mal::Encoder enc(&payload);
-      reply.Encode(&enc);
-      Reply(request, std::move(payload));
+      Reply(request, mal::EncodeMessage(reply));
     };
 
     bool mutating = false;
@@ -488,10 +417,7 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
     // Encode the replicated transaction once; each SendRequest below takes
     // a COW alias of the same bytes, so fan-out is O(replicas), not
     // O(replicas * payload).
-    OsdOpRequest rep{req.oid, std::move(expanded)};
-    mal::Buffer rep_payload;
-    mal::Encoder rep_enc(&rep_payload);
-    rep.Encode(&rep_enc);
+    mal::Buffer rep_payload = mal::EncodeMessage(OsdOpRequest{req.oid, std::move(expanded)});
 
     auto pending = std::make_shared<size_t>(replicas.size());
     auto replied = std::make_shared<bool>(false);
@@ -577,8 +503,7 @@ void Osd::AdoptMapNow(const mon::OsdMap& map, bool gossip) {
     // Encode the map once; every fanout target shares the same bytes.
     mal::Buffer encoded_map;
     if (!peers.empty() && config_.gossip_fanout > 0) {
-      mal::Encoder enc(&encoded_map);
-      osd_map_.Encode(&enc);
+      encoded_map = mal::EncodeMessage(osd_map_);
     }
     for (uint32_t i = 0; i < config_.gossip_fanout && !peers.empty(); ++i) {
       size_t pick = rng_.NextBelow(peers.size());
@@ -617,10 +542,7 @@ void Osd::InstallScriptInterfaces() {
 }
 
 void Osd::GossipTo(uint32_t peer) {
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  osd_map_.Encode(&enc);
-  GossipTo(peer, payload);
+  GossipTo(peer, mal::EncodeMessage(osd_map_));
 }
 
 void Osd::GossipTo(uint32_t peer, const mal::Buffer& encoded_map) {
@@ -646,21 +568,16 @@ void Osd::HandlePull(const sim::Envelope& request, PullObjectRequest req) {
     ReplyError(request, object.status());
     return;
   }
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  object.value()->Encode(&enc);
-  Reply(request, std::move(payload));
+  Reply(request, mal::EncodeMessage(*object.value()));
 }
 
 void Osd::RecoverObject(uint32_t from_osd, const std::string& oid,
-                        std::function<void(mal::Status)> on_done) {
+                        std::optional<uint64_t> version,
+                        std::function<void(mal::Status)> on_done, sim::Time timeout) {
   PullObjectRequest req{oid};
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  req.Encode(&enc);
-  SendRequest(sim::EntityName::Osd(from_osd), kMsgPullObject, std::move(payload),
-              [this, oid, on_done = std::move(on_done)](mal::Status status,
-                                                        const sim::Envelope& reply) {
+  SendRequest(sim::EntityName::Osd(from_osd), kMsgPullObject, mal::EncodeMessage(req),
+              [this, oid, version, on_done = std::move(on_done)](mal::Status status,
+                                                                 const sim::Envelope& reply) {
                 if (!status.ok()) {
                   on_done(status);
                   return;
@@ -671,9 +588,16 @@ void Osd::RecoverObject(uint32_t from_osd, const std::string& oid,
                   on_done(mal::Status::Unavailable("pulled shard failed checksum"));
                   return;
                 }
+                if (version.has_value() && pulled.version != *version) {
+                  on_done(mal::Status::Aborted("pulled " + oid + " at v" +
+                                               std::to_string(pulled.version) + ", not v" +
+                                               std::to_string(*version)));
+                  return;
+                }
                 store_.Put(oid, std::move(pulled));
                 on_done(mal::Status::Ok());
-              });
+              },
+              timeout);
 }
 
 void Osd::HandleWatch(const sim::Envelope& request, WatchRequest req) {
@@ -701,94 +625,38 @@ void Osd::NotifyWatchers(const std::string& oid) {
   if (auto object = store_.Get(oid); object.ok()) {
     event.version = object.value()->version;
   }
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  event.Encode(&enc);
+  mal::Buffer payload = mal::EncodeMessage(event);
   for (const sim::EntityName& watcher : it->second) {
     SendOneWay(watcher, kMsgNotify, payload);
   }
 }
 
-void Osd::PushObjectTo(uint32_t peer, const std::string& oid) {
-  auto object = store_.Get(oid);
-  if (!object.ok()) {
+void Osd::HandleScrubList(const sim::Envelope& request) {
+  if (rejoining_) {
+    // Versions read before the map catch-up may be behind a write the
+    // rest of the acting set already has: sit this pass out.
+    ReplyError(request, mal::Status::Unavailable("osd rejoining (map catch-up)"));
     return;
   }
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  enc.PutString(oid);
-  object.value()->Encode(&enc);
-  SendRequest(sim::EntityName::Osd(peer), kMsgPushObject, std::move(payload),
-              [this, oid](mal::Status status, const sim::Envelope&) {
-                if (status.ok()) {
-                  ++scrub_repairs_;
-                  mon_client_.Log("WARN", "scrub repaired " + oid);
-                }
-              });
+  ScrubListReply reply;
+  reply.replicas = config_.replicas;
+  for (std::string& oid : store_.List()) {
+    if (!ParseEcShardOid(oid).has_value()) {  // shards are the EC verifier's
+      uint64_t version = store_.Get(oid).value()->version;
+      reply.objects.emplace_back(std::move(oid), version);
+    }
+  }
+  Reply(request, mal::EncodeMessage(reply));
 }
 
-void Osd::ScrubTick() {
-  // Pick one random local object we are primary for and compare with every
-  // replica; on divergence, push our copy (primary is authoritative).
-  std::vector<std::string> locals = store_.List();
-  if (locals.empty()) {
-    return;
-  }
-  const std::string& oid = locals[rng_.NextBelow(locals.size())];
-  std::vector<uint32_t> acting = placement_.ActingSet(oid, osd_map_, config_.replicas);
-  if (acting.empty() || acting[0] != name().id) {
-    return;
-  }
-  for (size_t i = 1; i < acting.size(); ++i) {
-    uint32_t peer = acting[i];
-    ScrubObject(peer, oid, [this, peer, oid](mal::Status status) {
-      if (status.code() == mal::Code::kCorruption) {
-        PushObjectTo(peer, oid);
-      }
-    });
-  }
-}
-
-void Osd::HandleScrub(const sim::Envelope& request, ScrubRequest req) {
-  uint64_t version = 0;
-  if (auto object = store_.Get(req.oid); object.ok()) {
-    version = object.value()->version;
-  }
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  enc.PutU64(version);
-  Reply(request, std::move(payload));
-}
-
-void Osd::ScrubObject(uint32_t peer_osd, const std::string& oid,
-                      std::function<void(mal::Status)> on_done) {
-  ScrubRequest req;
-  req.oid = oid;
-  if (auto object = store_.Get(oid); object.ok()) {
-    req.version = object.value()->version;
-  }
-  uint64_t my_version = req.version;
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  req.Encode(&enc);
-  SendRequest(sim::EntityName::Osd(peer_osd), kMsgScrub, std::move(payload),
-              [my_version, oid, on_done = std::move(on_done)](mal::Status status,
-                                                              const sim::Envelope& reply) {
-                if (!status.ok()) {
-                  on_done(status);
-                  return;
-                }
-                mal::Decoder dec(reply.payload);
-                uint64_t peer_version = dec.GetU64();
-                if (peer_version != my_version) {
-                  on_done(mal::Status::Corruption(
-                      "scrub mismatch on " + oid + ": local v" +
-                      std::to_string(my_version) + " vs peer v" +
-                      std::to_string(peer_version)));
-                  return;
-                }
-                on_done(mal::Status::Ok());
-              });
+void Osd::HandleScrubRepair(const sim::Envelope& request, ScrubRepairRequest req) {
+  RecoverObject(req.source, req.oid, req.version, [this, request](mal::Status status) {
+    if (status.ok()) {
+      Reply(request, mal::Buffer());
+    } else {
+      ReplyError(request, status);
+    }
+  });
 }
 
 }  // namespace mal::osd

@@ -13,12 +13,17 @@
 // When an OSD applies a map whose cls.ver differs from what it has loaded,
 // it (re)installs the class and fires `on_interface_installed` — the hook
 // the Figure 8 bench uses to timestamp cluster-wide propagation.
+//
+// The OSD runs no scrub of its own. It answers the scrub agent's listing
+// (src/scrub/agent.h) and, on a confirmed divergence, pulls the primary's
+// copy of an object (RecoverObject): objects move between OSDs only by pull.
 #ifndef MALACOLOGY_OSD_OSD_H_
 #define MALACOLOGY_OSD_OSD_H_
 
 #include <functional>
-#include <set>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -59,10 +64,6 @@ struct OsdConfig {
   // first tries to pull the object from the other acting-set members.
   bool pull_on_miss = true;
   sim::Time pull_timeout = 1 * sim::kSecond;
-  // Background scrub: every interval, the primary of one random local
-  // object compares versions with its replicas and repairs divergence by
-  // pushing its authoritative copy (0 = disabled).
-  sim::Time scrub_interval = 0;
   // How often the OSD pushes its perf-counter snapshot to the monitor
   // (0 = disabled).
   sim::Time perf_report_interval = 1 * sim::kSecond;
@@ -94,13 +95,13 @@ class Osd : public sim::Actor {
   // Fired when a script interface (re)install completes: (class, version).
   std::function<void(const std::string&, const std::string&)> on_interface_installed;
 
-  // Recovery: pull one object from a peer OSD and install it locally.
+  // Recovery: pull one object from a peer OSD and install it locally. The
+  // copy is refused when it is a shard failing its checksum, or when
+  // `version` is set and the copy is at another version (kAborted: the
+  // object moved on since the caller looked).
   void RecoverObject(uint32_t from_osd, const std::string& oid,
-                     std::function<void(mal::Status)> on_done);
-  // Anti-entropy scrub of one object against a peer; reports kCorruption on
-  // version mismatch (the caller decides how to repair).
-  void ScrubObject(uint32_t peer_osd, const std::string& oid,
-                   std::function<void(mal::Status)> on_done);
+                     std::optional<uint64_t> version, std::function<void(mal::Status)> on_done,
+                     sim::Time timeout = 5 * sim::kSecond);
 
   void Crash() override;
   void Recover() override;
@@ -108,12 +109,12 @@ class Osd : public sim::Actor {
   // True between Recover() and the map catch-up completing: the OSD answers
   // client ops with kUnavailable (retryable) until it has confirmed the
   // monitor's current OSDMap, so a restarted primary never serves from a
-  // stale view of the acting sets. Replication, pulls, scrubs, and gossip
-  // keep flowing so the store stays repairable meanwhile.
+  // stale view of the acting sets. Replication, pulls, scrub repairs and
+  // gossip keep flowing so the store stays repairable meanwhile; only the
+  // scrub listing is refused, so a pass leaves this OSD out.
   bool rejoining() const { return rejoining_; }
 
   uint64_t ops_served() const { return ops_served_; }
-  uint64_t scrub_repairs() const { return scrub_repairs_; }
   mal::PerfRegistry& perf() { return perf_; }
 
  protected:
@@ -132,11 +133,9 @@ class Osd : public sim::Actor {
   void HandleGossip(const sim::Envelope& request);
   void HandleWatch(const sim::Envelope& request, WatchRequest req);
   void NotifyWatchers(const std::string& oid);
-  void ScrubTick();
-  void PushObjectTo(uint32_t peer, const std::string& oid);
   void HandlePull(const sim::Envelope& request, PullObjectRequest req);
-  void HandleScrub(const sim::Envelope& request, ScrubRequest req);
-  void HandlePush(const sim::Envelope& request);
+  void HandleScrubList(const sim::Envelope& request);
+  void HandleScrubRepair(const sim::Envelope& request, ScrubRepairRequest req);
   void HandleMapUpdate(const sim::Envelope& request);
   // Post-restart map catch-up: fetch the monitor's current OSDMap (retrying
   // until a monitor answers) and only then clear `rejoining_`.
@@ -177,7 +176,6 @@ class Osd : public sim::Actor {
   mal::PerfRegistry perf_;
   std::map<std::string, std::map<std::string, ClsCounterNames>> cls_counter_names_;
   uint64_t ops_served_ = 0;
-  uint64_t scrub_repairs_ = 0;
   bool rejoining_ = false;
   // Watchers per object (client entity names); notified on every commit.
   std::map<std::string, std::set<sim::EntityName>> watchers_;

@@ -99,9 +99,7 @@ void RadosClient::ExecuteAttempt(std::shared_ptr<OpState> op) {
     RefreshThenRetry(std::move(op));
     return;
   }
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  op->req.Encode(&enc);
+  mal::Buffer payload = mal::EncodeMessage(op->req);  // before `op` moves into the callback
   owner_->SendRequest(
       sim::EntityName::Osd(acting[0]), osd::kMsgOsdOp, std::move(payload),
       [this, op = std::move(op)](mal::Status status, const sim::Envelope& reply) {
@@ -294,9 +292,7 @@ void RadosClient::Watch(const std::string& oid, NotifyHandler on_notify,
     return;
   }
   osd::WatchRequest req{oid, /*unwatch=*/false};
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  req.Encode(&enc);
+  mal::Buffer payload = mal::EncodeMessage(req);
   notify_handlers_[oid] = std::move(on_notify);
   owner_->SendRequest(sim::EntityName::Osd(acting[0]), osd::kMsgWatch, std::move(payload),
                       [this, oid, on_done = std::move(on_done)](
@@ -316,10 +312,7 @@ void RadosClient::Unwatch(const std::string& oid, DoneHandler on_done) {
     return;
   }
   osd::WatchRequest req{oid, /*unwatch=*/true};
-  mal::Buffer payload;
-  mal::Encoder enc(&payload);
-  req.Encode(&enc);
-  owner_->SendRequest(sim::EntityName::Osd(acting[0]), osd::kMsgWatch, std::move(payload),
+  owner_->SendRequest(sim::EntityName::Osd(acting[0]), osd::kMsgWatch, mal::EncodeMessage(req),
                       [on_done = std::move(on_done)](mal::Status status,
                                                      const sim::Envelope&) {
                         on_done(status);

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "src/mon/maps.h"
+#include "src/osd/placement.h"
 
 namespace mal::scrub {
 
@@ -15,6 +17,9 @@ namespace {
 // a new one, so it must pass the ec.check_epoch guard even on sealed
 // objects. The max epoch always passes and never advances the seal.
 constexpr uint64_t kRepairEpoch = std::numeric_limits<uint64_t>::max();
+
+// An OSD that has not listed its objects by then sits the pass out.
+constexpr sim::Time kListTimeout = 1 * sim::kSecond;
 
 }  // namespace
 
@@ -29,13 +34,7 @@ Agent::Agent(sim::Simulator* simulator, sim::Network* network, uint32_t id,
 void Agent::Boot() {
   rados_.Connect([](mal::Status) {});
   StartPeriodic(config_.interval, [this] { Tick(); });
-  if (config_.report_interval > 0) {
-    StartPeriodic(config_.report_interval, [this] {
-      if (!perf_.empty()) {
-        rados_.mon_client().ReportPerf(perf_.Snapshot(name().ToString(), Now()));
-      }
-    });
-  }
+  rados_.mon_client().StartPerfReports(config_.report_interval, &perf_);
 }
 
 void Agent::HandleRequest(const sim::Envelope& request) {
@@ -55,7 +54,7 @@ void Agent::Tick() {
     return;
   }
   // Queue drained: enumerate the EC pools in the current map view and
-  // start a fresh pass.
+  // start a fresh pass (the OSD listings follow the pool indexes).
   std::vector<std::pair<std::string, uint32_t>> pools;
   const auto& metadata = rados_.osd_map().service_metadata;
   for (auto it = metadata.lower_bound(mon::kPoolKeyPrefix); it != metadata.end(); ++it) {
@@ -70,10 +69,6 @@ void Agent::Tick() {
   pass_open_ = true;
   pass_degraded_ = 0;
   pass_tracked_ = 0;
-  if (pools.empty()) {
-    FinishPass();
-    return;
-  }
   busy_ = true;
   Refill(std::move(pools), 0);
 }
@@ -81,10 +76,7 @@ void Agent::Tick() {
 void Agent::Refill(std::vector<std::pair<std::string, uint32_t>> pools, size_t next) {
   if (next >= pools.size()) {
     pass_tracked_ = queue_.size();
-    if (queue_.empty()) {
-      FinishPass();
-    }
-    busy_ = false;  // scrubbing starts on the next tick (paced)
+    ListReplicas();
     return;
   }
   auto [pool_name, k] = pools[next];
@@ -98,6 +90,84 @@ void Agent::Refill(std::vector<std::pair<std::string, uint32_t>> pools, size_t n
     }
     Refill(std::move(pools), next + 1);
   });
+}
+
+void Agent::ListReplicas() {
+  std::vector<uint32_t> up;
+  for (const auto& [id, info] : rados_.osd_map().osds) {
+    if (info.up) {
+      up.push_back(id);
+    }
+  }
+  auto listings = std::make_shared<std::map<uint32_t, osd::ScrubListReply>>();
+  if (up.empty()) {
+    CompareReplicas(*listings);
+    return;
+  }
+  auto pending = std::make_shared<size_t>(up.size());
+  for (uint32_t id : up) {
+    SendRequest(
+        sim::EntityName::Osd(id), osd::kMsgScrubList, mal::Buffer(),
+        [this, id, listings, pending](mal::Status status, const sim::Envelope& reply) {
+          if (status.ok()) {
+            mal::Decoder dec(reply.payload);
+            osd::ScrubListReply listing = osd::ScrubListReply::Decode(&dec);
+            if (dec.ok()) {
+              (*listings)[id] = std::move(listing);
+            }
+          }
+          if (--*pending == 0) {
+            CompareReplicas(*listings);
+          }
+        },
+        kListTimeout);
+  }
+}
+
+void Agent::CompareReplicas(const std::map<uint32_t, osd::ScrubListReply>& listings) {
+  std::map<std::string, std::map<uint32_t, uint64_t>> copies;  // oid -> osd -> version
+  for (const auto& [id, listing] : listings) {
+    for (const auto& [oid, version] : listing.objects) {
+      copies[oid][id] = version;
+    }
+  }
+  uint32_t replicas = listings.empty() ? 0 : listings.begin()->second.replicas;
+  std::map<std::pair<std::string, uint32_t>, Sighting> divergent;
+  uint64_t scanned = 0;
+  for (const auto& [oid, held] : copies) {
+    std::vector<uint32_t> acting = osd::ActingSetForOid(oid, rados_.osd_map(), replicas);
+    auto primary = acting.size() < 2 ? held.end() : held.find(acting[0]);
+    if (primary == held.end()) {
+      continue;  // a single copy, or no primary copy to compare with
+    }
+    ++scanned;
+    bool degraded = false;
+    for (size_t i = 1; i < acting.size(); ++i) {
+      auto copy = held.find(acting[i]);
+      uint64_t version = copy == held.end() ? 0 : copy->second;
+      if (listings.count(acting[i]) == 0 || version == primary->second) {
+        continue;  // left out of this pass, or in step
+      }
+      Sighting seen{acting[0], primary->second, version};
+      auto key = std::make_pair(oid, acting[i]);
+      auto before = divergent_.find(key);
+      if (before != divergent_.end() && before->second == seen) {
+        degraded = true;
+        queue_.push_back(WorkItem{"", 0, oid, 0, acting[0], acting[i], primary->second});
+      }
+      divergent.emplace(std::move(key), seen);
+    }
+    pass_degraded_ += degraded ? 1 : 0;
+  }
+  divergent_ = std::move(divergent);
+  if (scanned > 0) {
+    perf_.Inc("scrub.objects_scanned", scanned);
+  }
+  pass_tracked_ += scanned;
+  if (queue_.empty()) {
+    FinishPass();
+  }
+  busy_ = false;  // scrubbing starts on the next tick (paced)
 }
 
 void Agent::FinishPass() {
@@ -123,10 +193,33 @@ void Agent::ScrubNext(uint32_t budget) {
   }
   WorkItem item = std::move(queue_.front());
   queue_.pop_front();
-  ScrubOne(item, budget - 1);
+  if (item.k > 0) {
+    ScrubEcObject(item, budget - 1);
+  } else {
+    RepairReplica(item, budget - 1);
+  }
 }
 
-void Agent::ScrubOne(const WorkItem& item, uint32_t budget) {
+void Agent::RepairReplica(const WorkItem& item, uint32_t budget) {
+  osd::ScrubRepairRequest req{item.object, item.primary, item.version};
+  mal::Buffer payload = mal::EncodeMessage(req);
+  sim::Time start = Now();
+  SendRequest(sim::EntityName::Osd(item.replica), osd::kMsgScrubRepair, std::move(payload),
+              [this, start, budget](mal::Status status, const sim::Envelope&) {
+                if (status.ok()) {
+                  perf_.Inc("scrub.replicas_repaired");
+                  perf_.Observe("scrub.repair_latency_us",
+                                static_cast<double>(Now() - start) / 1e3);
+                } else {
+                  // No retry: the object moved on, or a member is gone. The
+                  // next pass looks again.
+                  perf_.Inc("scrub.repair_failures");
+                }
+                ScrubNext(budget);
+              });
+}
+
+void Agent::ScrubEcObject(const WorkItem& item, uint32_t budget) {
   ec::Pool pool(&rados_, item.pool, item.k);
   std::string object = item.object;
   pool.GatherShards(

@@ -399,7 +399,8 @@ if n > 1 and max_ops > params.min_ops and max_ops > min_ops * params.ratio then
 end
 )";
 
-// Erasure-coded pools losing redundancy: the scrub agent publishes the
+// Objects losing redundancy (EC shards and replicated copies alike; the
+// rule keeps its operator-visible name): the scrub agent publishes the
 // number of objects it found degraded on its last full pass as a gauge.
 // Any non-zero value means acked data is one more fault away from loss,
 // so the cluster should be WARN until repair brings it back to zero.
@@ -409,7 +410,7 @@ for _, e in pairs(entities("scrub.")) do
   if degraded > params.max_degraded then
     alert("ec_degraded:" .. e, "WARN",
           e .. " last scrub pass found " .. degraded
-          .. " EC objects below full redundancy", degraded)
+          .. " objects below full redundancy", degraded)
   end
 end
 )";
