@@ -85,9 +85,10 @@ void BM_ZlogClassWrite(benchmark::State& state) {
   mal::osd::TxnObject staged(nullptr);
   uint64_t pos = 0;
   mal::Buffer entry = mal::Buffer::FromString(std::string(256, 'e'));
+  const std::string oid = "log.0";
   for (auto _ : state) {
     std::vector<mal::osd::Op> effects;
-    mal::cls::ClsContext ctx("log.0", &staged, &effects);
+    mal::cls::ClsContext ctx(oid, &staged, &effects);
     benchmark::DoNotOptimize(registry.Execute(
         "zlog", "write", ctx, mal::cls::ZlogOps::MakeWrite(0, pos++, entry)));
   }

@@ -51,7 +51,14 @@ mal::Result<std::string> ClsContext::XattrGet(const std::string& key) const {
   return *value;
 }
 
-void ClsContext::RecordAndApply(osd::Op op) { effects_->push_back(std::move(op)); }
+void ClsContext::Record(osd::Op::Type type, uint64_t offset, const mal::Buffer& data,
+                        std::string_view key, std::string_view value) {
+  size_t position = log_->end();
+  log_->Record(type, offset, data, key, value);
+  if (effects_ != nullptr) {
+    effects_->push_back(log_->OpAt(position));
+  }
+}
 
 mal::Status ClsContext::Create(bool excl) {
   if (staged_->exists()) {
@@ -61,51 +68,35 @@ mal::Status ClsContext::Create(bool excl) {
     return mal::Status::Ok();
   }
   staged_->Create();
-  osd::Op op;
-  op.type = osd::Op::Type::kCreate;
-  op.excl = false;  // staged check already enforced exclusivity
-  RecordAndApply(std::move(op));
+  // excl is recorded false: the staged check already enforced it.
+  Record(osd::Op::Type::kCreate, 0, {}, {}, {});
   return mal::Status::Ok();
 }
 
 mal::Status ClsContext::Write(uint64_t offset, const mal::Buffer& data) {
   staged_->Create();
   staged_->MutableData()->Write(offset, data.data(), data.size());
-  osd::Op op;
-  op.type = osd::Op::Type::kWrite;
-  op.offset = offset;
-  op.data = data;
-  RecordAndApply(std::move(op));
+  Record(osd::Op::Type::kWrite, offset, data, {}, {});
   return mal::Status::Ok();
 }
 
 mal::Status ClsContext::WriteFull(const mal::Buffer& data) {
   staged_->Create();
   *staged_->MutableData() = data;
-  osd::Op op;
-  op.type = osd::Op::Type::kWriteFull;
-  op.data = data;
-  RecordAndApply(std::move(op));
+  Record(osd::Op::Type::kWriteFull, 0, data, {}, {});
   return mal::Status::Ok();
 }
 
 mal::Status ClsContext::Append(const mal::Buffer& data) {
   staged_->Create();
   staged_->MutableData()->Append(data);
-  osd::Op op;
-  op.type = osd::Op::Type::kAppend;
-  op.data = data;
-  RecordAndApply(std::move(op));
+  Record(osd::Op::Type::kAppend, 0, data, {}, {});
   return mal::Status::Ok();
 }
 
 mal::Status ClsContext::OmapSet(std::string key, std::string value) {
   staged_->Create();
-  osd::Op op;
-  op.type = osd::Op::Type::kOmapSet;
-  op.key = key;
-  op.value = value;
-  RecordAndApply(std::move(op));
+  Record(osd::Op::Type::kOmapSet, 0, {}, key, value);
   staged_->OmapSet(std::move(key), std::move(value));
   return mal::Status::Ok();
 }
@@ -115,20 +106,13 @@ mal::Status ClsContext::OmapDel(const std::string& key) {
     return mal::Status::NotFound("object " + oid_);
   }
   staged_->OmapDel(key);
-  osd::Op op;
-  op.type = osd::Op::Type::kOmapDel;
-  op.key = key;
-  RecordAndApply(std::move(op));
+  Record(osd::Op::Type::kOmapDel, 0, {}, key, {});
   return mal::Status::Ok();
 }
 
 mal::Status ClsContext::XattrSet(std::string key, std::string value) {
   staged_->Create();
-  osd::Op op;
-  op.type = osd::Op::Type::kXattrSet;
-  op.key = key;
-  op.value = value;
-  RecordAndApply(std::move(op));
+  Record(osd::Op::Type::kXattrSet, 0, {}, key, value);
   staged_->XattrSet(std::move(key), std::move(value));
   return mal::Status::Ok();
 }

@@ -378,9 +378,10 @@ mal::Status ClassRegistry::InstallScript(const std::string& cls, const std::stri
   }
   // Discover methods: run the chunk in a scratch interpreter with a dummy
   // context and record which globals became callable.
+  const std::string scratch_oid = "scratch";
   osd::TxnObject staged(nullptr);
-  std::vector<osd::Op> effects;
-  ClsContext scratch_ctx("scratch", &staged, &effects);
+  osd::TxnLog log(scratch_oid);
+  ClsContext scratch_ctx(scratch_oid, &staged, &log);
   ContextSlot slot;
   slot.ctx = &scratch_ctx;
   Interpreter scratch;

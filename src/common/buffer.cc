@@ -126,11 +126,8 @@ Buffer Buffer::Read(size_t offset, size_t n) const {
 }
 
 void Encoder::PutVarU64(uint64_t v) {
-  while (v >= 0x80) {
-    PutU8(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  PutU8(static_cast<uint8_t>(v));
+  char bytes[kMaxVarU64Bytes];
+  out_->Append(bytes, WriteVarU64(bytes, v));
 }
 
 uint8_t Decoder::GetU8() {

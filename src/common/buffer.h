@@ -128,6 +128,17 @@ class Encoder {
     return n;
   }
   static constexpr size_t BytesSize(size_t n) { return VarU64Size(n) + n; }
+  // Writes `v` as a varuint into `out` (room for kMaxVarU64Bytes) and
+  // returns its length: the bytes PutVarU64 appends, also for a caller
+  // that fills a slot it left in a buffer.
+  static size_t WriteVarU64(char* out, uint64_t v) {
+    size_t n = 0;
+    for (; v >= 0x80; v >>= 7) {
+      out[n++] = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
+    }
+    out[n++] = static_cast<char>(v);
+    return n;
+  }
 
   // Makes room for `n` more bytes at once. A message that knows its encoded
   // size reserves it up front, so its buffer is allocated (and its payload

@@ -4,6 +4,7 @@
 #ifndef MALACOLOGY_OSD_MESSAGES_H_
 #define MALACOLOGY_OSD_MESSAGES_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -16,7 +17,7 @@ namespace mal::osd {
 
 enum MsgType : uint32_t {
   kMsgOsdOp = 200,      // client -> primary: transaction on one object
-  kMsgRepOp = 201,      // primary -> replica: expanded primitive transaction
+  kMsgRepOp = 201,      // primary -> replica: the primitive transaction (TxnLog)
   kMsgGossipMap = 202,  // osd -> osd one-way: current OSDMap (epidemic)
   kMsgPullObject = 203, // recovery: fetch a full object from a peer
   kMsgScrubList = 204,  // scrub agent -> osd: list local replicated objects
@@ -56,7 +57,18 @@ struct NotifyEvent {
   }
 };
 
+// How many elements a decoder reserves for a count read off the wire: the
+// count, clamped to what the bytes left could hold at `min_bytes` each, so
+// a corrupt count fails the decode instead of the reservation.
+inline size_t ReservableCount(uint64_t count, const mal::Decoder& dec, size_t min_bytes) {
+  return static_cast<size_t>(std::min<uint64_t>(count, dec.remaining() / min_bytes));
+}
+
 struct OsdOpRequest {
+  // An Op with every field at its default: type, excl, offset, length and
+  // five empty length-prefixed fields.
+  static constexpr size_t kMinOpBytes = 1 + 1 + 8 + 8 + 5;
+
   std::string oid;
   std::vector<Op> ops;
 
@@ -76,6 +88,7 @@ struct OsdOpRequest {
     OsdOpRequest req;
     req.oid = dec->GetString();
     uint64_t n = dec->GetVarU64();
+    req.ops.reserve(ReservableCount(n, *dec, kMinOpBytes));
     for (uint64_t i = 0; i < n && dec->ok(); ++i) {
       req.ops.push_back(Op::Decode(dec));
     }
@@ -108,6 +121,8 @@ struct OsdOpReply {
     OsdOpReply reply;
     reply.map_epoch = dec->GetU64();
     uint64_t n = dec->GetVarU64();
+    // code, then an empty message and output
+    reply.results.reserve(ReservableCount(n, *dec, 4 + 1 + 1));
     for (uint64_t i = 0; i < n && dec->ok(); ++i) {
       OpResult r;
       auto code = static_cast<mal::Code>(dec->GetU32());
@@ -145,6 +160,7 @@ struct ScrubListReply {
     ScrubListReply reply;
     reply.replicas = dec->GetU32();
     uint64_t n = dec->GetVarU64();
+    reply.objects.reserve(ReservableCount(n, *dec, 1 + 8));  // an empty oid, a version
     for (uint64_t i = 0; i < n && dec->ok(); ++i) {
       std::string oid = dec->GetString();
       reply.objects.emplace_back(std::move(oid), dec->GetU64());

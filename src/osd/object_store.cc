@@ -31,7 +31,13 @@ Object Object::Decode(mal::Decoder* dec) {
   return object;
 }
 
-void Op::Encode(mal::Encoder* enc) const {
+namespace {
+
+// The one wire layout of an Op, shared by Op::Encode and the effect records
+// of TxnLog, which encode from fields that are not in an Op.
+void EncodeOp(mal::Encoder* enc, Op::Type type, bool excl, uint64_t offset, uint64_t length,
+              const mal::Buffer& data, std::string_view key, std::string_view value,
+              std::string_view cls_name, std::string_view method) {
   enc->PutU8(static_cast<uint8_t>(type));
   enc->PutBool(excl);
   enc->PutU64(offset);
@@ -43,10 +49,20 @@ void Op::Encode(mal::Encoder* enc) const {
   enc->PutString(method);
 }
 
+size_t EncodedOpSize(size_t data, size_t key, size_t value, size_t cls_name, size_t method) {
+  return 1 + 1 + 8 + 8 + mal::Encoder::BytesSize(data) + mal::Encoder::BytesSize(key) +
+         mal::Encoder::BytesSize(value) + mal::Encoder::BytesSize(cls_name) +
+         mal::Encoder::BytesSize(method);
+}
+
+}  // namespace
+
+void Op::Encode(mal::Encoder* enc) const {
+  EncodeOp(enc, type, excl, offset, length, data, key, value, cls_name, method);
+}
+
 size_t Op::EncodedSize() const {
-  return 1 + 1 + 8 + 8 + mal::Encoder::BytesSize(data.size()) +
-         mal::Encoder::BytesSize(key.size()) + mal::Encoder::BytesSize(value.size()) +
-         mal::Encoder::BytesSize(cls_name.size()) + mal::Encoder::BytesSize(method.size());
+  return EncodedOpSize(data.size(), key.size(), value.size(), cls_name.size(), method.size());
 }
 
 bool IsMutating(Op::Type type) {
@@ -80,6 +96,53 @@ Op Op::Decode(mal::Decoder* dec) {
   op.cls_name = dec->GetString();
   op.method = dec->GetString();
   return op;
+}
+
+TxnLog::TxnLog(std::string_view oid, size_t op_bytes)
+    : oid_(oid), slot_(mal::Encoder::BytesSize(oid.size()) + mal::Encoder::kMaxVarU64Bytes) {
+  buf_.Reserve(slot_ + op_bytes);
+  buf_.Resize(slot_);
+}
+
+void TxnLog::Counted(Op::Type type) {
+  ++count_;
+  mutating_ = mutating_ || IsMutating(type);
+  removed_ = removed_ || type == Op::Type::kRemove;
+}
+
+void TxnLog::Record(const Op& op) {
+  mal::Encoder enc(&buf_);
+  enc.Reserve(op.EncodedSize());
+  op.Encode(&enc);
+  Counted(op.type);
+}
+
+void TxnLog::Record(Op::Type type, uint64_t offset, const mal::Buffer& data,
+                    std::string_view key, std::string_view value) {
+  mal::Encoder enc(&buf_);
+  enc.Reserve(EncodedOpSize(data.size(), key.size(), value.size(), 0, 0));
+  EncodeOp(&enc, type, /*excl=*/false, offset, /*length=*/0, data, key, value, {}, {});
+  Counted(type);
+}
+
+Op TxnLog::OpAt(size_t position) const {
+  mal::Decoder dec(buf_.View().substr(position));
+  return Op::Decode(&dec);
+}
+
+mal::Buffer TxnLog::Finish() && {
+  // The header (PutString(oid), PutVarU64(count)) ends where the ops begin.
+  char oid_size[mal::Encoder::kMaxVarU64Bytes];
+  char count[mal::Encoder::kMaxVarU64Bytes];
+  size_t oid_size_bytes = mal::Encoder::WriteVarU64(oid_size, oid_.size());
+  size_t count_bytes = mal::Encoder::WriteVarU64(count, count_);
+  size_t start = slot_ - oid_size_bytes - oid_.size() - count_bytes;
+  buf_.Write(start, oid_size, oid_size_bytes);
+  buf_.Write(start + oid_size_bytes, oid_.data(), oid_.size());
+  buf_.Write(slot_ - count_bytes, count, count_bytes);
+  mal::Buffer payload = buf_.Read(start, buf_.size() - start);
+  buf_.clear();
+  return payload;
 }
 
 TxnObject::TxnObject(const Object* base) : base_(base) {

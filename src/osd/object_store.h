@@ -26,6 +26,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -91,6 +92,53 @@ struct Op {
 
 // True for ops that change the object (the ones a replica must replay).
 bool IsMutating(Op::Type type);
+
+// The replicated form of one transaction, written while the primary runs it:
+// the kMsgRepOp payload, byte for byte EncodeMessage(OsdOpRequest{oid, ops})
+// of the ops recorded, in order. The primary records every op except kExec
+// as it stands, and in place of each kExec the primitive ops its class
+// method applied (cls::ClsContext records them). Each op is encoded once,
+// straight from its fields, into the payload's own buffer; the oid and the
+// op count, known only at the end, go into a slot left in front of the ops
+// (docs/data_plane.md, "One encoding per replicated op").
+class TxnLog {
+ public:
+  // `op_bytes` is reserved for the ops known up front (the encoded size of
+  // a transaction's non-kExec ops), so a transaction without kExec fills
+  // its payload exactly: a replica's stored bytestream can alias the
+  // payload, and spare capacity behind it would stay pinned. `oid` must
+  // outlive the log.
+  explicit TxnLog(std::string_view oid, size_t op_bytes = 0);
+
+  // Appends `op` as it stands.
+  void Record(const Op& op);
+  // Appends the op of `type` with these fields and every other field at its
+  // default: the form of an op a class method applied.
+  void Record(Op::Type type, uint64_t offset, const mal::Buffer& data, std::string_view key,
+              std::string_view value);
+
+  // Whether any recorded op changes the object, and whether one removes it.
+  bool mutating() const { return mutating_; }
+  bool removed() const { return removed_; }
+
+  // Byte position of the next op to be recorded, and the op recorded at an
+  // earlier such position, decoded.
+  size_t end() const { return buf_.size(); }
+  Op OpAt(size_t position) const;
+
+  // The payload. The log is spent.
+  mal::Buffer Finish() &&;
+
+ private:
+  void Counted(Op::Type type);
+
+  std::string_view oid_;
+  size_t slot_;  // header slot in front of the ops: the oid and a maximal count
+  mal::Buffer buf_;
+  size_t count_ = 0;
+  bool mutating_ = false;
+  bool removed_ = false;
+};
 
 struct OpResult {
   mal::Status status;

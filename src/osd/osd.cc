@@ -212,17 +212,15 @@ sim::Time Osd::OpCost(const OsdOpRequest& req) const {
 }
 
 mal::Status Osd::ExpandTransaction(const OsdOpRequest& req, TxnObject* staged,
-                                   std::vector<OpResult>* results, std::vector<Op>* expanded) {
+                                   std::vector<OpResult>* results, TxnLog* log) {
   results->clear();
   results->resize(req.ops.size());
-  expanded->clear();
 
   for (size_t i = 0; i < req.ops.size(); ++i) {
     const Op& op = req.ops[i];
     OpResult& result = (*results)[i];
     if (op.type == Op::Type::kExec) {
-      std::vector<Op> effects;
-      cls::ClsContext ctx(req.oid, staged, &effects);
+      cls::ClsContext ctx(req.oid, staged, log);
       script::EngineStats sstats;
       auto out = registry_.Execute(op.cls_name, op.method, ctx, op.data, 1'000'000, &sstats);
       // Script-method engine counters, lazily created (absent for native
@@ -257,15 +255,15 @@ mal::Status Osd::ExpandTransaction(const OsdOpRequest& req, TxnObject* staged,
       }
       result.status = mal::Status::Ok();
       result.out = std::move(out).value();
-      expanded->insert(expanded->end(), std::make_move_iterator(effects.begin()),
-                       std::make_move_iterator(effects.end()));
       continue;
     }
     result.status = ObjectStore::ApplyOp(req.oid, op, staged, &result);
     if (!result.status.ok()) {
       return result.status;
     }
-    expanded->push_back(op);
+    if (log != nullptr) {
+      log->Record(op);
+    }
   }
   return mal::Status::Ok();
 }
@@ -371,15 +369,28 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
     // multi-op MOSDOp), and every constituent op individually.
     const OpCounterNames* txn_names =
         &OpCounters(req.ops.empty() ? nullptr : &req.ops[0].type);
+    bool may_mutate = false;
     for (const Op& op : req.ops) {
       perf_.Inc(OpCounters(&op.type).count);
+      may_mutate = may_mutate || IsMutating(op.type) || op.type == Op::Type::kExec;
     }
     // One lookup and one execution: the staged view the expansion builds
-    // is the one the primary commits.
+    // is the one the primary commits. A transaction that may mutate is
+    // written into its repop payload as it runs, with room reserved for
+    // every op but kExec, whose effects the class method records; a
+    // read-only one keeps no log.
     TxnObject staged = store_.Stage(req.oid);
     auto results = std::make_shared<std::vector<OpResult>>();
-    std::vector<Op> expanded;
-    mal::Status status = ExpandTransaction(req, &staged, results.get(), &expanded);
+    std::optional<TxnLog> log;
+    if (may_mutate) {
+      size_t op_bytes = 0;
+      for (const Op& op : req.ops) {
+        op_bytes += op.type == Op::Type::kExec ? 0 : op.EncodedSize();
+      }
+      log.emplace(req.oid, op_bytes);
+    }
+    mal::Status status =
+        ExpandTransaction(req, &staged, results.get(), log ? &*log : nullptr);
     if (!status.ok()) {
       perf_.Inc(status.code() == mal::Code::kAborted ? "osd.txn_aborts"
                                                      : "osd.txn_failures");
@@ -394,30 +405,24 @@ void Osd::ExecuteOsdOp(const sim::Envelope& request, OsdOpRequest req,
       Reply(request, mal::EncodeMessage(reply));
     };
 
-    bool mutating = false;
-    bool removed = false;
-    for (const Op& op : expanded) {
-      mutating = mutating || IsMutating(op.type);
-      removed = removed || op.type == Op::Type::kRemove;
-    }
-    if (!status.ok() || !mutating) {
+    if (!status.ok() || !log || !log->mutating()) {
       send_reply();  // read-only or failed: no replication round
       return;
     }
 
-    store_.Commit(req.oid, std::move(staged), removed, /*mutated=*/true);
+    store_.Commit(req.oid, std::move(staged), log->removed(), /*mutated=*/true);
     NotifyWatchers(req.oid);
 
-    // Replicate the expanded transaction.
+    // Replicate the logged transaction.
     std::vector<uint32_t> replicas(acting.begin() + 1, acting.end());
     if (replicas.empty()) {
       send_reply();
       return;
     }
-    // Encode the replicated transaction once; each SendRequest below takes
-    // a COW alias of the same bytes, so fan-out is O(replicas), not
-    // O(replicas * payload).
-    mal::Buffer rep_payload = mal::EncodeMessage(OsdOpRequest{req.oid, std::move(expanded)});
+    // The replicated transaction was encoded once, as it ran; each
+    // SendRequest below takes a COW alias of the same bytes, so fan-out is
+    // O(replicas), not O(replicas * payload).
+    mal::Buffer rep_payload = std::move(*log).Finish();
 
     auto pending = std::make_shared<size_t>(replicas.size());
     auto replied = std::make_shared<bool>(false);

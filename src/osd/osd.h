@@ -153,9 +153,10 @@ class Osd : public sim::Actor {
   // Executes the transaction once against `staged` (the caller's view of
   // req.oid, from ObjectStore::Stage), expanding kExec ops through the class
   // runtime. On success `staged` holds the transaction's effect, ready to
-  // commit, and `expanded` holds the primitive ops a replica replays.
+  // commit, and `log` the replicated transaction a replica replays. `log` is
+  // null for a transaction with no mutating op and no kExec.
   mal::Status ExpandTransaction(const OsdOpRequest& req, TxnObject* staged,
-                                std::vector<OpResult>* results, std::vector<Op>* expanded);
+                                std::vector<OpResult>* results, TxnLog* log);
 
   // "osd.cls.<cls>.<method>.count" and ".exec_us", built on the method's
   // first call so an exec concatenates no counter names.

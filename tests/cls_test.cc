@@ -24,7 +24,7 @@ class ClsHarness {
                                 const mal::Buffer& input) {
     osd::TxnObject staged(object.has_value() ? &*object : nullptr);
     std::vector<osd::Op> effects;
-    ClsContext ctx("test-obj", &staged, &effects);
+    ClsContext ctx(oid, &staged, &effects);
     auto out = registry.Execute(cls, method, ctx, input);
     if (out.ok()) {
       object = staged.Materialize();  // commit
@@ -33,6 +33,7 @@ class ClsHarness {
     return out;
   }
 
+  const std::string oid = "test-obj";
   ClassRegistry registry;
   std::optional<osd::Object> object;
   std::vector<osd::Op> last_effects;
@@ -283,7 +284,8 @@ TEST(ClsContextTest, OmapHasSeesStagedSetsAndDeletes) {
   base.omap["committed"] = "1";
   osd::TxnObject staged(&base);
   std::vector<osd::Op> effects;
-  ClsContext ctx("obj", &staged, &effects);
+  const std::string oid = "obj";
+  ClsContext ctx(oid, &staged, &effects);
   EXPECT_TRUE(ctx.OmapHas("committed"));
   EXPECT_FALSE(ctx.OmapHas("staged"));
   EXPECT_FALSE(ctx.OmapHas("zzz"));  // sorts after every committed key
@@ -513,7 +515,7 @@ std::string CallOk(ClsHarness& h, const std::string& method, const std::string& 
 script::EngineStats CallStats(ClsHarness& h, const std::string& method) {
   osd::TxnObject staged(nullptr);
   std::vector<osd::Op> effects;
-  ClsContext ctx("test-obj", &staged, &effects);
+  ClsContext ctx(h.oid, &staged, &effects);
   script::EngineStats stats;
   auto out = h.registry.Execute("iso", method, ctx, mal::Buffer(), 1'000'000, &stats);
   EXPECT_TRUE(out.ok()) << method << ": " << out.status();

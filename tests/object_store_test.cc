@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/osd/messages.h"
 #include "src/osd/object_store.h"
 #include "src/osd/placement.h"
 
@@ -781,6 +782,105 @@ TEST(PlacementTest, TableStaysStaleUntilCleared) {
   EXPECT_EQ(table.ActingSet("obj-x", map, 3), before);
   table.Clear();
   EXPECT_EQ(table.ActingSet("obj-x", map, 3), after);
+}
+
+// ---- TxnLog: the replicated transaction, encoded as it is recorded ----------
+
+// The i-th op of a varied transaction: every field is exercised somewhere.
+Op VariedOp(size_t i) {
+  Op op = MakeOp(i % 3 == 0 ? Op::Type::kOmapSet
+                            : (i % 3 == 1 ? Op::Type::kAppend : Op::Type::kRead));
+  op.offset = i;
+  op.length = i % 5;
+  op.data = mal::Buffer::FromString(std::string(i % 7, 'd'));
+  op.key = "k" + std::to_string(i);
+  op.value = std::string(i % 11, 'v');
+  op.cls_name = std::string(i % 3, 'c');
+  op.method = std::string(i % 2, 'm');
+  op.excl = i % 2 == 0;
+  return op;
+}
+
+TEST(TxnLogTest, PayloadIsTheRequestEncodingAtEveryCountWidth) {
+  // Counts of one, two and three varint bytes, and oids of one- and
+  // two-byte length prefixes.
+  const std::vector<std::string> oids = {"", "stripe.7", std::string(200, 'o')};
+  for (const std::string& oid : oids) {
+    for (size_t count : {0, 1, 127, 128, 300, 16384}) {
+      std::vector<Op> ops;
+      for (size_t i = 0; i < count; ++i) {
+        ops.push_back(VariedOp(i));
+      }
+      TxnLog log(oid);
+      for (const Op& op : ops) {
+        log.Record(op);
+      }
+      mal::Buffer payload = std::move(log).Finish();
+      ASSERT_EQ(payload, mal::EncodeMessage(OsdOpRequest{oid, ops}))
+          << "oid size " << oid.size() << ", count " << count;
+    }
+  }
+}
+
+TEST(TxnLogTest, EffectRecordsEncodeLikeTheOpsTheyStandFor) {
+  const std::string oid = "obj";
+  TxnLog log(oid);
+  std::vector<Op> ops;
+  Op create = MakeOp(Op::Type::kCreate);
+  Op append = MakeOp(Op::Type::kAppend);
+  append.data = mal::Buffer::FromString("bytes");
+  Op write = MakeOp(Op::Type::kWrite);
+  write.offset = 9;
+  write.data = mal::Buffer::FromString("at nine");
+  Op set = MakeOp(Op::Type::kOmapSet);
+  set.key = "key";
+  set.value = "value";
+  for (const Op& op : {create, append, write, set}) {
+    size_t position = log.end();
+    log.Record(op.type, op.offset, op.data, op.key, op.value);
+    Op decoded = log.OpAt(position);
+    EXPECT_EQ(decoded.type, op.type);
+    EXPECT_EQ(decoded.offset, op.offset);
+    EXPECT_EQ(decoded.data, op.data);
+    EXPECT_EQ(decoded.key, op.key);
+    EXPECT_EQ(decoded.value, op.value);
+    ops.push_back(op);
+  }
+  EXPECT_TRUE(log.mutating());
+  EXPECT_FALSE(log.removed());
+  EXPECT_EQ(std::move(log).Finish(), mal::EncodeMessage(OsdOpRequest{oid, ops}));
+}
+
+TEST(TxnLogTest, TracksMutationAndRemoval) {
+  const std::string oid = "obj";
+  TxnLog reads(oid);
+  reads.Record(MakeOp(Op::Type::kRead));
+  reads.Record(MakeOp(Op::Type::kOmapGet));
+  EXPECT_FALSE(reads.mutating());
+  TxnLog recreate(oid);
+  recreate.Record(MakeOp(Op::Type::kRemove));
+  recreate.Record(MakeOp(Op::Type::kCreate));
+  EXPECT_TRUE(recreate.mutating());
+  EXPECT_TRUE(recreate.removed());
+}
+
+TEST(TxnLogTest, ReservedOpsFillThePayloadExactly) {
+  // A 4 KiB write_full and an omap_set, reserved up front: the payload's
+  // buffer holds exactly its bytes.
+  const std::string oid = "obj.4242";
+  std::vector<Op> ops(2);
+  ops[0] = MakeOp(Op::Type::kWriteFull);
+  ops[0].data = mal::Buffer::FromString(std::string(4096, 'p'));
+  ops[1] = MakeOp(Op::Type::kOmapSet);
+  ops[1].key = "gen";
+  ops[1].value = "1";
+  TxnLog log(oid, ops[0].EncodedSize() + ops[1].EncodedSize());
+  for (const Op& op : ops) {
+    log.Record(op);
+  }
+  mal::Buffer payload = std::move(log).Finish();
+  EXPECT_EQ(payload, mal::EncodeMessage(OsdOpRequest{oid, ops}));
+  EXPECT_EQ(payload.capacity(), payload.size());
 }
 
 }  // namespace

@@ -36,6 +36,25 @@ class AppClient : public sim::Actor {
   }
 };
 
+// Records the payload of every repop an OSD receives, then hands the
+// envelope on to the OSD unchanged.
+class RepOpTap : public sim::MessageSink {
+ public:
+  explicit RepOpTap(sim::MessageSink* osd) : osd_(osd) {}
+
+  void Deliver(sim::Envelope envelope) override {
+    if (envelope.type == osd::kMsgRepOp && !envelope.is_reply) {
+      payloads.push_back(envelope.payload);
+    }
+    osd_->Deliver(std::move(envelope));
+  }
+
+  std::vector<Buffer> payloads;
+
+ private:
+  sim::MessageSink* osd_;
+};
+
 class OsdClusterFixture : public ::testing::Test {
  protected:
   void Start(uint32_t num_osds, uint32_t replicas = 2) {
@@ -106,6 +125,51 @@ class OsdClusterFixture : public ::testing::Test {
     return *result;
   }
 
+  // Puts a RepOpTap in front of every OSD.
+  void TapRepOps() {
+    for (auto& daemon : osds) {
+      taps.push_back(std::make_unique<RepOpTap>(daemon.get()));
+      network.Attach(daemon->name(), taps.back().get());
+    }
+  }
+
+  // Runs the transaction `ops` on `oid`, which must succeed, and returns the
+  // one repop payload its primary sent (replicas = 2, taps installed).
+  Buffer ReplicatedPayload(const std::string& oid, std::vector<osd::Op> ops) {
+    for (auto& tap : taps) {
+      tap->payloads.clear();
+    }
+    std::optional<Status> result;
+    client->rados.Execute(oid, std::move(ops), [&](Status s, const osd::OsdOpReply& reply) {
+      result = s;
+      for (const osd::OpResult& r : reply.results) {
+        if (result->ok()) {
+          result = r.status;
+        }
+      }
+    });
+    Settle(5 * sim::kSecond);
+    EXPECT_TRUE(result.has_value() && result->ok());
+    std::vector<Buffer> sent;
+    for (auto& tap : taps) {
+      sent.insert(sent.end(), tap->payloads.begin(), tap->payloads.end());
+    }
+    EXPECT_EQ(sent.size(), 1u);
+    return sent.empty() ? Buffer() : sent[0];
+  }
+
+  // Object::Encode of every holder's copy of `oid`.
+  std::vector<std::string> EncodedCopies(const std::string& oid) {
+    std::vector<std::string> copies;
+    for (uint32_t holder : Holders(oid)) {
+      Buffer out;
+      Encoder enc(&out);
+      osds[holder]->store().Get(oid).value()->Encode(&enc);
+      copies.push_back(out.ToString());
+    }
+    return copies;
+  }
+
   // OSDs holding a copy of `oid`, per the stores themselves.
   std::vector<uint32_t> Holders(const std::string& oid) {
     std::vector<uint32_t> holders;
@@ -123,6 +187,7 @@ class OsdClusterFixture : public ::testing::Test {
   std::unique_ptr<mon::Monitor> monitor;
   std::vector<std::unique_ptr<Osd>> osds;
   std::unique_ptr<AppClient> client;
+  std::vector<std::unique_ptr<RepOpTap>> taps;
   uint32_t replicas_ = 2;
 };
 
@@ -705,6 +770,198 @@ TEST(OsdMessageEncodingTest, ReplyMatchesGoldenBytes) {
   EXPECT_EQ(Hex(with_data.View().substr(0, kHead.size() / 2)), kHead);
   EXPECT_EQ(with_data.View().substr(kHead.size() / 2), Pattern4k());
   EXPECT_LE(with_data.capacity(), with_data.size() + 64);
+}
+
+// FNV-1a 64: the fingerprint of a golden payload too long to spell out.
+uint64_t Fnv1a(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The golden repop payloads below were recorded from the primary that
+// encoded its replicated transaction as EncodeMessage(OsdOpRequest{oid,
+// expanded}): the oid, the op count, then every op that ran, in order, with
+// each kExec replaced by the primitive ops its method recorded and read ops
+// kept.
+//
+// Checks `payload` against its golden hex, and that it is the encoding of
+// the op list it decodes to.
+void ExpectRepOp(const Buffer& payload, const std::string& oid, std::string_view golden) {
+  EXPECT_EQ(Hex(payload.View()), golden);
+  Decoder dec(payload);
+  osd::OsdOpRequest decoded = osd::OsdOpRequest::Decode(&dec);
+  ASSERT_TRUE(dec.Finish().ok());
+  EXPECT_EQ(dec.remaining(), 0u);
+  EXPECT_EQ(decoded.oid, oid);
+  EXPECT_EQ(EncodeMessage(decoded), payload);
+}
+
+TEST_F(OsdClusterFixture, ZlogWriteBatchRepOpMatchesGoldenBytes) {
+  Start(3, /*replicas=*/2);
+  TapRepOps();
+  using cls::ZlogOps;
+  std::vector<ZlogOps::BatchEntry> entries = {{2, Buffer::FromString("bb")},
+                                              {0, Buffer::FromString("a")}};
+  std::vector<osd::Op> ops = {
+      RadosClient::MakeExecOp("zlog", "write_batch", ZlogOps::MakeWriteBatch(0, entries))};
+  Buffer payload = ReplicatedPayload("stripe", std::move(ops));
+  ExpectRepOp(payload, "stripe",
+      "067374726970650400000000000000000000000000000000000000000000000900000000"
+      "00000000000000000000000000001a656e7472792e303030303030303030303030303030"
+      "3030303032030162620000090000000000000000000000000000000000001a656e747279"
+      "2e303030303030303030303030303030303030303002016100000d000000000000000000"
+      "0000000000000000000c7a6c6f672e6d61785f706f7301330000");
+  auto copies = EncodedCopies("stripe");
+  ASSERT_EQ(copies.size(), 2u);
+  EXPECT_EQ(copies[0], copies[1]);
+}
+
+TEST_F(OsdClusterFixture, MixedTransactionRepOpMatchesGoldenBytes) {
+  Start(3, /*replicas=*/2);
+  TapRepOps();
+  using cls::ZlogOps;
+  std::vector<osd::Op> ops(6);
+  ops[0].type = osd::Op::Type::kWriteFull;
+  ops[0].data = Buffer::FromString("head");
+  ops[1] = RadosClient::MakeExecOp("zlog", "write",
+                                   ZlogOps::MakeWrite(0, 3, Buffer::FromString("entry")));
+  ops[2].type = osd::Op::Type::kRead;  // replicated as it stands
+  ops[2].length = 2;
+  ops[3].type = osd::Op::Type::kOmapSet;
+  ops[3].key = "meta";
+  ops[3].value = "mixed";
+  ops[4] = RadosClient::MakeExecOp("lock", "acquire", Buffer::FromString("alice"));
+  ops[5].type = osd::Op::Type::kXattrSet;
+  ops[5].key = "owner";
+  ops[5].value = "test";
+  Buffer payload = ReplicatedPayload("mixed", std::move(ops));
+  ExpectRepOp(payload, "mixed",
+      "056d69786564070400000000000000000000000000000000000468656164000000000900"
+      "00000000000000000000000000000000001a656e7472792e303030303030303030303030"
+      "30303030303030330601656e74727900000d000000000000000000000000000000000000"
+      "0c7a6c6f672e6d61785f706f730134000002000000000000000000020000000000000000"
+      "0000000009000000000000000000000000000000000000046d657461056d697865640000"
+      "0d0000000000000000000000000000000000000a6c6f636b2e6f776e657205616c696365"
+      "00000d000000000000000000000000000000000000056f776e657204746573740000");
+  auto copies = EncodedCopies("mixed");
+  ASSERT_EQ(copies.size(), 2u);
+  EXPECT_EQ(copies[0], copies[1]);
+}
+
+TEST_F(OsdClusterFixture, RemoveThenRecreateRepOpMatchesGoldenBytes) {
+  Start(3, /*replicas=*/2);
+  TapRepOps();
+  std::vector<osd::Op> first(2);
+  first[0].type = osd::Op::Type::kWriteFull;
+  first[0].data = Buffer::FromString("old");
+  first[1].type = osd::Op::Type::kOmapSet;
+  first[1].key = "gone";
+  first[1].value = "1";
+  ReplicatedPayload("phoenix", std::move(first));
+  std::vector<osd::Op> ops(4);
+  ops[0].type = osd::Op::Type::kRemove;
+  ops[1].type = osd::Op::Type::kCreate;
+  ops[1].excl = true;
+  ops[2].type = osd::Op::Type::kWriteFull;
+  ops[2].data = Buffer::FromString("new");
+  ops[3].type = osd::Op::Type::kOmapSet;
+  ops[3].key = "kept";
+  ops[3].value = "2";
+  Buffer payload = ReplicatedPayload("phoenix", std::move(ops));
+  ExpectRepOp(payload, "phoenix",
+      "0770686f656e697804010000000000000000000000000000000000000000000000010000"
+      "000000000000000000000000000000000000000400000000000000000000000000000000"
+      "00036e65770000000009000000000000000000000000000000000000046b657074013200"
+      "00");
+  auto copies = EncodedCopies("phoenix");
+  ASSERT_EQ(copies.size(), 2u);
+  EXPECT_EQ(copies[0], copies[1]);
+  EXPECT_NE(copies[0].find("kept"), std::string::npos);
+  EXPECT_EQ(copies[0].find("gone"), std::string::npos);
+}
+
+TEST_F(OsdClusterFixture, ScriptWithManyEffectsRepOpMatchesGoldenBytes) {
+  // 130 recorded effects: the op count takes two varint bytes.
+  Start(3, /*replicas=*/2);
+  bool installed = false;
+  client->rados.InstallScriptInterface("fill", "v1", R"(
+function fill(input)
+  for i = 1, 130 do
+    cls_omap_set("k" .. tostring(i), input)
+  end
+  return "ok"
+end
+)",
+                                       [&](Status s) { installed = s.ok(); });
+  Settle(8 * sim::kSecond);
+  ASSERT_TRUE(installed);
+  TapRepOps();
+  std::vector<osd::Op> ops = {
+      RadosClient::MakeExecOp("fill", "fill", Buffer::FromString("v"))};
+  Buffer payload = ReplicatedPayload("many", std::move(ops));
+  Decoder dec(payload);
+  ASSERT_EQ(dec.GetString(), "many");
+  EXPECT_EQ(dec.GetVarU64(), 130u);
+  EXPECT_EQ(Hex(payload.View().substr(0, 7)), "046d616e798201");
+  EXPECT_EQ(payload.size(), 3539u);
+  EXPECT_EQ(Fnv1a(payload.View()), 13340375056327729270ULL);
+  ExpectRepOp(payload, "many", Hex(payload.View()));  // golden: the size and hash
+  auto copies = EncodedCopies("many");
+  ASSERT_EQ(copies.size(), 2u);
+  EXPECT_EQ(copies[0], copies[1]);
+}
+
+TEST_F(OsdClusterFixture, PrimitiveRepOpPayloadHasNoSpareCapacity) {
+  // A replica's stored bytestream aliases the repop payload, so spare
+  // capacity behind it would stay pinned with the object.
+  Start(3, /*replicas=*/2);
+  TapRepOps();
+  std::vector<osd::Op> ops(2);
+  ops[0].type = osd::Op::Type::kWriteFull;
+  ops[0].data = Buffer::FromString(Pattern4k());
+  ops[1].type = osd::Op::Type::kOmapSet;
+  ops[1].key = "gen";
+  ops[1].value = "0000000000000000000000001";
+  Buffer payload = ReplicatedPayload("shape", ops);
+  EXPECT_EQ(EncodeMessage(osd::OsdOpRequest{"shape", ops}), payload);
+  EXPECT_EQ(payload.capacity(), payload.size());
+  ops.resize(1);
+  Buffer alone = ReplicatedPayload("shape", std::move(ops));
+  EXPECT_EQ(alone.capacity(), alone.size());
+}
+
+TEST(OsdMessageEncodingTest, HugeElementCountFailsTheDecode) {
+  // A corrupt count of 2^40: each decoder reserves no more elements than
+  // the remaining bytes can hold, then fails when they run out.
+  auto corrupt = [](uint64_t fixed_prefix) {
+    Buffer bytes;
+    Encoder enc(&bytes);
+    for (uint64_t i = 0; i < fixed_prefix; ++i) {
+      enc.PutU8(1);
+    }
+    enc.PutVarU64(uint64_t{1} << 40);
+    enc.PutString("one element's worth of bytes, then nothing");
+    return bytes;
+  };
+  {
+    Decoder dec(corrupt(/*oid of one byte=*/2));
+    EXPECT_NO_THROW(osd::OsdOpRequest::Decode(&dec));
+    EXPECT_FALSE(dec.ok());
+  }
+  {
+    Decoder dec(corrupt(/*map_epoch=*/8));
+    EXPECT_NO_THROW(osd::OsdOpReply::Decode(&dec));
+    EXPECT_FALSE(dec.ok());
+  }
+  {
+    Decoder dec(corrupt(/*replicas=*/4));
+    EXPECT_NO_THROW(osd::ScrubListReply::Decode(&dec));
+    EXPECT_FALSE(dec.ok());
+  }
 }
 
 }  // namespace
